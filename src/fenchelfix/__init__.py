@@ -17,6 +17,7 @@ from .errors import (
     NotPositiveDefinite,
     NotPSD,
     NotSymmetric,
+    NumericalFailure,
     ParseError,
     Singular,
     UnknownDemo,
@@ -32,7 +33,6 @@ from .linalg import (
     matrix_sign,
     matrix_sqrt,
     solve_min_norm,
-    spectral_inverse,
 )
 from .quadratic import (
     DirectSum,
@@ -64,6 +64,7 @@ from .fixpoint import (
     solve_lql,
     solve_positive_definite,
     solve_self_adjoint,
+    solve_symmetric,
     transform_residual,
     upper_envelope,
     verify_form_quadratic,

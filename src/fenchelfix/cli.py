@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import discrete, fixpoint, linalg, serialize
-from .errors import FenchelFixError, NotSymmetric, ParseError, UnknownDemo
+from .errors import FenchelFixError, NumericalFailure, ParseError, UnknownDemo
 from .fixpoint import Tag
 from .quadratic import TransformParams
 from .sampling import sample_points
@@ -117,13 +117,7 @@ def cmd_solve(args) -> int:
     tol = _tol(opts)
     params = serialize.params_from_json(config.get("params", {}))
     report = _report_shell("solve", config, opts, tol)
-    if not linalg.is_symmetric(params.E, tol):
-        raise NotSymmetric("solve requires symmetric E")
-    spec = linalg.eigendecompose(0.5 * (params.E + params.E.T), tol)
-    if float(np.min(spec.eigenvalues)) > tol.pd:
-        solution = fixpoint.solve_positive_definite(params, tol)
-    else:
-        solution = fixpoint.solve_self_adjoint(params, tol)
+    solution = fixpoint.solve_symmetric(params, tol)
     if solution is None:
         report["result"]["solution"] = None
         report["result"]["tag"] = Tag.NO_QUADRATIC_SOLUTION_IN_CONSTRUCTION.value
@@ -386,6 +380,9 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code = args.fn(args)
+    except NumericalFailure as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (FenchelFixError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

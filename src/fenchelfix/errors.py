@@ -41,6 +41,11 @@ class AllInfinite(FenchelFixError):
     """A sampled function has no finite values (not proper)."""
 
 
+class NumericalFailure(FenchelFixError):
+    """A numerical routine failed on valid input (e.g. LAPACK did not
+    converge): an internal failure, not an input error."""
+
+
 class ParseError(FenchelFixError):
     """A config or data file could not be parsed."""
 

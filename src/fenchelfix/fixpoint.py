@@ -26,7 +26,7 @@ from .errors import (
     NotSymmetric,
     Singular,
 )
-from .quadratic import QuadraticFn, TransformParams, apply_transform, is_strictly_convex
+from .quadratic import QuadraticFn, TransformParams, apply_transform
 from .reports import ResidualReport, report_from_residuals
 from .sampling import instance_seed, sample_points
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -54,10 +54,11 @@ class Classification:
     note: str = ""
 
 
-def _require_symmetric_params(p: TransformParams, tol: Tolerances) -> np.ndarray:
+def _symmetric_spectrum(p: TransformParams, tol: Tolerances) -> linalg.Spectral:
+    """The cached spectrum of E, behind the symmetry gate at ``tol``."""
     if not linalg.is_symmetric(p.E, tol):
         raise NotSymmetric("E must be symmetric for this construction")
-    return 0.5 * (p.E + p.E.T)
+    return p.spectrum
 
 
 def solve_positive_definite(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> QuadraticFn:
@@ -67,12 +68,11 @@ def solve_positive_definite(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -
     gamma = (beta (1 + sqrt(tau))^2 + sqrt(tau)/2 <c - w, E^{-1}(c - w)>)
             / ((1 + sqrt(tau))^2 (tau + 1)).
     """
-    e = _require_symmetric_params(p, tol)
-    spec = linalg.eigendecompose(e, tol)
-    if float(np.min(spec.eigenvalues)) <= tol.pd:
+    spec = _symmetric_spectrum(p, tol)
+    if not spec.positive_definite(tol):
         raise NotPositiveDefinite("E must be positive definite")
     rt = np.sqrt(p.tau)
-    a = rt * e
+    a = rt * (0.5 * (p.E + p.E.T))
     b = (p.w + rt * p.c) / (1.0 + rt)
     e_inv = spec.apply(lambda d: 1.0 / d)
     diff = p.c - p.w
@@ -92,11 +92,8 @@ def self_adjoint_system(
     rhs = w + tau E A^{-1} c.  The slope coefficient b of a quadratic
     solution must satisfy M b = rhs.
     """
-    e = _require_symmetric_params(p, tol)
-    spec = linalg.eigendecompose(e, tol)
-    if float(np.min(np.abs(spec.eigenvalues))) <= tol.sing_rel * max(
-        1.0, float(np.max(np.abs(spec.eigenvalues)))
-    ):
+    spec = _symmetric_spectrum(p, tol)
+    if spec.singular(tol):
         raise Singular("E must be invertible")
     rt = np.sqrt(p.tau)
     a = spec.apply(lambda d: rt * np.abs(d))
@@ -118,10 +115,14 @@ def solve_self_adjoint(
     produces no quadratic solution.
     """
     a, m, rhs = self_adjoint_system(p, tol)
-    b = linalg.solve_min_norm(m, rhs, tol)
+    # M and A share the eigenvectors of E; M's eigenvalues sqrt(tau) sign(D) + 1
+    # keep the descending order of D
+    rt, spec = np.sqrt(p.tau), p.spectrum
+    m_spec = linalg.Spectral(rt * np.sign(spec.eigenvalues) + 1.0, spec.vectors)
+    b = linalg.solve_min_norm(m, rhs, tol, spec=m_spec)
     if b is None:
         return None
-    a_inv = linalg.spectral_inverse(a, tol)
+    a_inv = spec.apply(lambda d: 1.0 / (rt * np.abs(d)))
     diff = p.c - b
     gamma = (p.beta + 0.5 * p.tau * float(diff @ a_inv @ diff)) / (p.tau + 1.0)
     return QuadraticFn(a, b, gamma)
@@ -139,7 +140,7 @@ def verify_form_quadratic(
     """
     if p.dim != q.dim:
         raise DimMismatch("transform and quadratic dimensions differ")
-    a_inv = linalg.spectral_inverse(q.A, tol)
+    a_inv = q.spectrum.inverse(tol)
     e, tau = p.E, p.tau
     r1 = float(np.max(np.abs(q.A - tau * e.T @ a_inv @ e)))
     m = tau * e.T @ a_inv
@@ -196,13 +197,18 @@ def classify(
             note += f"; candidate residual max {scan.max_abs:.3e} over {scan.sample_points} points"
         return Classification(Tag.UNDETERMINED, note=note)
 
-    spec = linalg.eigendecompose(p.E, tol)
-    eigs = spec.eigenvalues
-    if float(np.min(np.abs(eigs))) <= tol.sing_rel * max(1.0, float(np.max(np.abs(eigs)))):
+    spec = p.spectrum
+    if spec.singular(tol):
         raise Singular("E must be invertible")
+    positive_definite = spec.positive_definite(tol)
+    if not positive_definite and _matches_nonexistence_pattern(p, eps):
+        return Classification(
+            Tag.NO_SOLUTION,
+            note="matches a proven sign-flip nonexistence pattern",
+        )
 
-    if float(np.min(eigs)) > tol.pd:
-        solution = solve_positive_definite(p, tol)
+    solution = solve_symmetric(p, tol)
+    if positive_definite:
         if abs(p.tau - 1.0) <= eps and float(np.max(np.abs(p.c - p.w))) <= eps:
             return Classification(
                 Tag.UNIQUE_ALL_FUNCTIONS,
@@ -221,24 +227,28 @@ def classify(
             solution=solution,
             note="unique among quadratics with invertible leading coefficient",
         )
-
-    if _matches_nonexistence_pattern(p, eps):
-        return Classification(
-            Tag.NO_SOLUTION,
-            note="matches a proven sign-flip nonexistence pattern",
-        )
-
-    constructed = solve_self_adjoint(p, tol)
-    if constructed is None:
+    if solution is None:
         return Classification(
             Tag.NO_QUADRATIC_SOLUTION_IN_CONSTRUCTION,
             note="slope system of the spectral construction is inconsistent",
         )
     return Classification(
         Tag.QUADRATIC_SOLUTION_EXISTS,
-        solution=constructed,
+        solution=solution,
         note="construction succeeded; solutions are non-unique in general",
     )
+
+
+def solve_symmetric(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> Optional[QuadraticFn]:
+    """The quadratic solution the case analysis constructs for symmetric E.
+
+    The closed form of ``solve_positive_definite`` when E is positive
+    definite, the spectral construction of ``solve_self_adjoint`` otherwise
+    (None when its slope system is inconsistent).
+    """
+    if _symmetric_spectrum(p, tol).positive_definite(tol):
+        return solve_positive_definite(p, tol)
+    return solve_self_adjoint(p, tol)
 
 
 def _default_points(p: TransformParams, count: int = 100) -> np.ndarray:
@@ -333,7 +343,7 @@ def shift_equation_residual(
     return report_from_residuals(residuals, pts)
 
 
-def lower_envelope(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> QuadraticFn:
+def lower_envelope(p: TransformParams) -> QuadraticFn:
     """Quadratic minorant every solution dominates.
 
     Q = 2 tau/(tau+1) E (symmetrized), q = (w + tau c)/(tau + 1),
@@ -358,15 +368,12 @@ def upper_envelope(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> Quadrat
     """
     if not linalg.is_symmetric(p.E, tol):
         raise NotPSD("upper envelope requires positive semidefinite (hence symmetric) E")
-    e = 0.5 * (p.E + p.E.T)
-    spec = linalg.eigendecompose(e, tol)
-    if float(np.min(spec.eigenvalues)) < -tol.psd:
+    spec = p.spectrum
+    if not spec.psd(tol):
         raise NotPSD("upper envelope requires positive semidefinite E")
-    if float(np.min(np.abs(spec.eigenvalues))) <= tol.sing_rel * max(
-        1.0, float(np.max(np.abs(spec.eigenvalues)))
-    ):
+    if spec.singular(tol):
         raise Singular("upper envelope requires invertible E")
-    return apply_transform(p, lower_envelope(p, tol), tol)
+    return apply_transform(p, lower_envelope(p), tol)
 
 
 def g_scaling_residual(
@@ -383,9 +390,8 @@ def g_scaling_residual(
     """
     if not linalg.is_symmetric(p.E, tol):
         raise NotPSD("the scaling law requires positive semidefinite (hence symmetric) E")
-    e = 0.5 * (p.E + p.E.T)
-    spec = linalg.eigendecompose(e, tol)
-    if float(np.min(spec.eigenvalues)) < -tol.psd:
+    spec = p.spectrum
+    if not spec.psd(tol):
         raise NotPSD("the scaling law requires positive semidefinite E")
     e_inv = spec.apply(lambda d: 1.0 / d)
     shift = e_inv @ p.w - e_inv @ p.c
@@ -406,7 +412,7 @@ def solve_lql(l_matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Restricted to linear operators the answer is Q = L^{-1}.
     """
     spec = linalg.eigendecompose(l_matrix, tol)
-    if float(np.min(spec.eigenvalues)) <= tol.pd:
+    if not spec.positive_definite(tol):
         raise NotPositiveDefinite("solve_lql requires a positive definite matrix")
     return spec.apply(lambda d: 1.0 / d)
 
@@ -418,8 +424,7 @@ def check_involution_psd(q_matrix, tol: Tolerances = DEFAULT_TOL) -> ResidualRep
     reported max_abs is ||Q - I||_max.
     """
     q = linalg.as_symmetric(q_matrix, tol)
-    spec = linalg.eigendecompose(q, tol)
-    if float(np.min(spec.eigenvalues)) < -tol.psd:
+    if not linalg.eigendecompose(q, tol).psd(tol):
         raise NotPSD("check_involution_psd requires a PSD matrix")
     n = q.shape[0]
     if float(np.max(np.abs(q @ q - np.eye(n)))) > tol.involution:
@@ -442,8 +447,8 @@ def functional_differential_residual(
     quadratic with positive definite A the gradient inverse is explicit:
     u = A^{-1}(y - b).
     """
-    spec = linalg.eigendecompose(q.A, tol)
-    if float(np.min(spec.eigenvalues)) <= tol.pd:
+    spec = q.spectrum
+    if not spec.positive_definite(tol):
         raise NotPositiveDefinite("explicit gradient inverse needs positive definite A")
     a_inv = spec.apply(lambda d: 1.0 / d)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -475,8 +480,7 @@ def skew_solution(b_matrix, tol: Tolerances = DEFAULT_TOL) -> QuadraticFn:
     b = linalg.as_symmetric(b_matrix, tol)
     if b.shape[0] != 2:
         raise DimMismatch("skew_solution is a 2x2 construction")
-    spec = linalg.eigendecompose(b, tol)
-    if float(np.min(spec.eigenvalues)) < -tol.psd:
+    if not linalg.eigendecompose(b, tol).psd(tol):
         raise NotPSD("B must be positive semidefinite")
     det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
     if abs(det - 1.0) > 1e-9:

@@ -1,10 +1,13 @@
 """Dense symmetric spectral decomposition and matrix functions.
 
-The eigendecomposition is a cyclic Jacobi iteration: simple, deterministic
-for identical input, and unconditionally convergent on symmetric matrices.
+The eigendecomposition is LAPACK's symmetric solver (``numpy.linalg.eigh``)
+normalised to descending eigenvalues and sign-fixed eigenvectors, so
+identical input gives identical bytes on the same numpy/BLAS build.
 Everything downstream (abs, sign, sqrt, pseudo-inverse solves, definiteness)
-is built on it.  Matrices are plain ``numpy`` arrays; validation helpers
-enforce the symmetry/finiteness contracts at the entry points.
+is built on it, and a ``Spectral`` carries the eigenvalue predicates the
+case analysis needs.  Matrices are plain ``numpy`` arrays; validation
+helpers enforce the symmetry/finiteness contracts at the entry points.  A
+LAPACK failure surfaces as ``NumericalFailure``.
 """
 
 from __future__ import annotations
@@ -14,10 +17,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DimMismatch, NotPSD, NotSymmetric, Singular
+from .errors import DimMismatch, NotPSD, NotSymmetric, NumericalFailure, Singular
 from .tolerances import DEFAULT_TOL, Tolerances
-
-_MAX_JACOBI_SWEEPS = 60
 
 
 def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
@@ -71,65 +72,59 @@ class Spectral(NamedTuple):
         out = (self.vectors * fn(self.eigenvalues)) @ self.vectors.T
         return 0.5 * (out + out.T)
 
+    def singular(self, tol: Tolerances = DEFAULT_TOL) -> bool:
+        """Some |eigenvalue| is at most ``sing_rel * max(1, max|eigenvalue|)``."""
+        return float(np.min(np.abs(self.eigenvalues))) <= _eig_cutoff(self.eigenvalues, tol)
+
+    def positive_definite(self, tol: Tolerances = DEFAULT_TOL) -> bool:
+        return float(np.min(self.eigenvalues)) > tol.pd
+
+    def psd(self, tol: Tolerances = DEFAULT_TOL) -> bool:
+        return float(np.min(self.eigenvalues)) >= -tol.psd
+
+    def inverse(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+        """U diag(1/d) U^T, for a decomposition that is not singular."""
+        if self.singular(tol):
+            raise Singular("matrix is singular within tolerance")
+        return self.apply(lambda d: 1.0 / d)
+
+    def definiteness(self, tol: Tolerances = DEFAULT_TOL) -> "Definiteness":
+        """Classify by the signs of the extreme eigenvalues."""
+        lo, hi = float(self.eigenvalues[-1]), float(self.eigenvalues[0])
+        if lo > tol.pd:
+            return Definiteness.POSITIVE_DEFINITE
+        if hi < -tol.pd:
+            return Definiteness.NEGATIVE_DEFINITE
+        if lo > -tol.pd:
+            return Definiteness.POSITIVE_SEMIDEFINITE
+        if hi < tol.pd:
+            return Definiteness.NEGATIVE_SEMIDEFINITE
+        return Definiteness.INDEFINITE
+
 
 def eigendecompose(m, tol: Tolerances = DEFAULT_TOL) -> Spectral:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of a symmetric matrix by LAPACK's ``eigh``.
 
-    Sweeps Givens rotations over all (p, q) pairs until the off-diagonal
-    Frobenius mass drops below ``tol.jacobi_off * ||M||_F``.  Eigenvalues are
-    returned in descending order; each eigenvector has its first component
-    of magnitude above 1e-12 made positive, so identical input produces an
-    identical decomposition.
+    Eigenvalues are returned in descending order; each eigenvector has its
+    first component of magnitude above 1e-12 made positive (a unit vector
+    always has one), so identical input produces an identical decomposition.
     """
     a = as_symmetric(m, tol)
-    n = a.shape[0]
-    u = np.eye(n)
-    fro = float(np.linalg.norm(a, "fro"))
-    if fro > 0.0:
-        target = tol.jacobi_off * fro
-        for _ in range(_MAX_JACOBI_SWEEPS):
-            # off-diagonal mass summed directly: a difference of sums would
-            # cancel catastrophically and stall convergence near sqrt(eps)
-            shaved = a.copy()
-            np.fill_diagonal(shaved, 0.0)
-            if float(np.linalg.norm(shaved, "fro")) <= target:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if apq == 0.0:
-                        continue
-                    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    if abs(theta) > 1e150:
-                        t = 0.5 / theta
-                    else:
-                        sign = 1.0 if theta >= 0.0 else -1.0
-                        t = sign / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                    c = 1.0 / np.sqrt(t * t + 1.0)
-                    s = t * c
-                    # two-sided rotation in the (p, q) plane
-                    col_p = c * a[:, p] - s * a[:, q]
-                    col_q = s * a[:, p] + c * a[:, q]
-                    a[:, p], a[:, q] = col_p, col_q
-                    row_p = c * a[p, :] - s * a[q, :]
-                    row_q = s * a[p, :] + c * a[q, :]
-                    a[p, :], a[q, :] = row_p, row_q
-                    a[p, q] = a[q, p] = 0.0
-                    ucol_p = c * u[:, p] - s * u[:, q]
-                    ucol_q = s * u[:, p] + c * u[:, q]
-                    u[:, p], u[:, q] = ucol_p, ucol_q
+    d, u = _lapack(np.linalg.eigh, a)
+    d = d[::-1].copy()
+    u = u[:, ::-1]
+    lead = (np.abs(u) > 1e-12).argmax(axis=0)
+    flip = u[lead, np.arange(u.shape[1])] < 0.0
+    return Spectral(d, np.where(flip, -u, u))
 
-    d = np.diag(a).copy()
-    order = np.argsort(-d, kind="stable")
-    d = d[order]
-    u = u[:, order]
-    for j in range(n):
-        col = u[:, j]
-        lead = np.nonzero(np.abs(col) > 1e-12)[0]
-        k = lead[0] if lead.size else int(np.argmax(np.abs(col)))
-        if col[k] < 0.0:
-            u[:, j] = -col
-    return Spectral(d, u)
+
+def _lapack(routine, *args, **kwargs):
+    """Call a ``numpy.linalg`` routine; its failure on valid input is an
+    internal numerical failure, not an input error."""
+    try:
+        return routine(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"{routine.__name__} failed: {exc}") from exc
 
 
 class Definiteness(enum.Enum):
@@ -142,17 +137,7 @@ class Definiteness(enum.Enum):
 
 def definiteness(m, tol: Tolerances = DEFAULT_TOL) -> Definiteness:
     """Classify a symmetric matrix by the signs of its eigenvalues."""
-    d = eigendecompose(m, tol).eigenvalues
-    lo, hi = float(d[-1]), float(d[0])
-    if lo > tol.pd:
-        return Definiteness.POSITIVE_DEFINITE
-    if hi < -tol.pd:
-        return Definiteness.NEGATIVE_DEFINITE
-    if lo > -tol.pd:
-        return Definiteness.POSITIVE_SEMIDEFINITE
-    if hi < tol.pd:
-        return Definiteness.NEGATIVE_SEMIDEFINITE
-    return Definiteness.INDEFINITE
+    return eigendecompose(m, tol).definiteness(tol)
 
 
 def _eig_cutoff(d: np.ndarray, tol: Tolerances) -> float:
@@ -167,7 +152,7 @@ def matrix_abs(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def matrix_sign(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Spectral sign U sign(diag(d)) U^T of a symmetric invertible matrix."""
     spec = eigendecompose(m, tol)
-    if float(np.min(np.abs(spec.eigenvalues))) <= _eig_cutoff(spec.eigenvalues, tol):
+    if spec.singular(tol):
         raise Singular("matrix_sign requires an invertible matrix")
     return spec.apply(np.sign)
 
@@ -179,14 +164,6 @@ def matrix_sqrt(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if float(np.min(spec.eigenvalues)) < -tol.psd * scale:
         raise NotPSD("matrix_sqrt requires a positive semidefinite matrix")
     return spec.apply(lambda d: np.sqrt(np.clip(d, 0.0, None)))
-
-
-def spectral_inverse(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Inverse of a symmetric matrix through its eigendecomposition."""
-    spec = eigendecompose(m, tol)
-    if float(np.min(np.abs(spec.eigenvalues))) <= _eig_cutoff(spec.eigenvalues, tol):
-        raise Singular("matrix is singular within tolerance")
-    return spec.apply(lambda d: 1.0 / d)
 
 
 def invert(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -213,24 +190,28 @@ def invert(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return inv
 
 
-def solve_min_norm(m, rhs, tol: Tolerances = DEFAULT_TOL) -> Optional[np.ndarray]:
+def solve_min_norm(
+    m, rhs, tol: Tolerances = DEFAULT_TOL, spec: Optional[Spectral] = None
+) -> Optional[np.ndarray]:
     """Minimum-norm solution of M x = rhs, or None when inconsistent.
 
     Symmetric matrices are solved through the spectral pseudo-inverse,
+    using ``spec`` when the caller already holds the decomposition of M,
     general ones through least squares.  The candidate is accepted when
     ``||M x - rhs|| <= cons_rel * (1 + ||rhs||)``; inconsistency is a value
     (None), not an error, because callers use it as a nonexistence signal.
     """
     a = as_matrix(m)
     b = as_vector(rhs, a.shape[0])
-    if is_symmetric(a, tol):
+    if spec is None and is_symmetric(a, tol):
         spec = eigendecompose(a, tol)
+    if spec is not None:
         cutoff = _eig_cutoff(spec.eigenvalues, tol)
         coeffs = spec.vectors.T @ b
         inv_d = np.where(np.abs(spec.eigenvalues) > cutoff, spec.eigenvalues, np.inf)
         x = spec.vectors @ (coeffs / inv_d)
     else:
-        x = np.linalg.lstsq(a, b, rcond=None)[0]
+        x = _lapack(np.linalg.lstsq, a, b, rcond=None)[0]
     residual = float(np.linalg.norm(a @ x - b))
     if residual > tol.cons_rel * (1.0 + float(np.linalg.norm(b))):
         return None

@@ -12,6 +12,7 @@ transform and direct sums of blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -46,6 +47,11 @@ class QuadraticFn:
     @property
     def dim(self) -> int:
         return self.A.shape[0]
+
+    @cached_property
+    def spectrum(self) -> linalg.Spectral:
+        """Eigendecomposition of A, computed once (A is read-only)."""
+        return linalg.eigendecompose(self.A)
 
     def __call__(self, x) -> float:
         v = linalg.as_vector(x, self.dim)
@@ -87,6 +93,12 @@ class TransformParams:
     def dim(self) -> int:
         return self.E.shape[0]
 
+    @cached_property
+    def spectrum(self) -> linalg.Spectral:
+        """Eigendecomposition of the symmetric part (E + E^T)/2, computed once
+        (E is read-only).  Callers gate on the symmetry of E themselves."""
+        return linalg.eigendecompose(0.5 * (self.E + self.E.T))
+
 
 @dataclass(frozen=True)
 class DualParams:
@@ -106,8 +118,8 @@ def conjugate_quadratic(q: QuadraticFn, tol: Tolerances = DEFAULT_TOL) -> Quadra
     +inf off a subspace and are out of scope here (use the sampled-grid
     transform instead).
     """
-    spec = linalg.eigendecompose(q.A, tol)
-    if float(np.min(spec.eigenvalues)) <= tol.pd:
+    spec = q.spectrum
+    if not spec.positive_definite(tol):
         raise NotPositiveDefinite("conjugation needs a positive definite leading coefficient")
     a_inv = spec.apply(lambda d: 1.0 / d)
     b_star = -a_inv @ q.b
@@ -153,7 +165,7 @@ def dual_params(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> DualParams
 
 def is_convex(q: QuadraticFn, tol: Tolerances = DEFAULT_TOL) -> bool:
     """A quadratic is convex iff its leading coefficient is PSD."""
-    kind = linalg.definiteness(q.A, tol)
+    kind = q.spectrum.definiteness(tol)
     return kind in (
         linalg.Definiteness.POSITIVE_DEFINITE,
         linalg.Definiteness.POSITIVE_SEMIDEFINITE,
@@ -162,7 +174,7 @@ def is_convex(q: QuadraticFn, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 def is_strictly_convex(q: QuadraticFn, tol: Tolerances = DEFAULT_TOL) -> bool:
     """A quadratic is strictly convex iff its leading coefficient is PD."""
-    return linalg.definiteness(q.A, tol) is linalg.Definiteness.POSITIVE_DEFINITE
+    return q.spectrum.definiteness(tol) is linalg.Definiteness.POSITIVE_DEFINITE
 
 
 Evaluable1D = Callable[[float], float]

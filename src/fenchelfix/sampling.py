@@ -9,22 +9,30 @@ given problem always sees the same scan points.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
+from itertools import takewhile
 
 import numpy as np
 
-_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-    59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131,
-)
+
+@lru_cache(maxsize=None)
+def _primes(count: int) -> tuple:
+    """The first ``count`` primes, by trial division."""
+    found, k = [], 2
+    while len(found) < count:
+        if all(k % p for p in takewhile(lambda p: p * p <= k, found)):
+            found.append(k)
+        k += 1
+    return tuple(found)
 
 
 def sample_points(dim: int, count: int, radius: float = 3.0, seed: int = 0) -> np.ndarray:
     """Return ``count`` points in [-radius, radius]^dim as a (count, dim) array."""
-    if dim < 1 or dim > len(_PRIMES):
-        raise ValueError(f"dim must be in 1..{len(_PRIMES)}")
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    alphas = np.sqrt(np.asarray(_PRIMES[:dim], dtype=float))
+    alphas = np.sqrt(np.asarray(_primes(dim), dtype=float))
     alphas -= np.floor(alphas)
     k = np.arange(1, count + 1, dtype=float)[:, None] + float(seed % 1_000_003)
     frac = np.mod(k * alphas[None, :], 1.0)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .discrete import INF, SampledFn, SampledFn2D
 from .errors import ParseError
-from .fixpoint import Classification, Tag
+from .fixpoint import Classification
 from .quadratic import QuadraticFn, TransformParams
 from .reports import ResidualReport
 from .tolerances import Tolerances
@@ -143,13 +143,6 @@ def classification_to_json(c: Classification) -> dict:
         "x0": None if c.x0 is None else _vector_out(c.x0),
         "note": c.note,
     }
-
-
-def tag_from_string(name: str) -> Tag:
-    for tag in Tag:
-        if tag.value == name:
-            return tag
-    raise ParseError(f"unknown classification tag {name!r}")
 
 
 def tolerances_to_json(tol: Tolerances) -> dict:

@@ -21,12 +21,6 @@ class Tolerances:
     psd: float = 1e-10
     #: linear-system consistency, relative: ||Mx - rhs|| <= cons_rel * (1 + ||rhs||)
     cons_rel: float = 1e-8
-    #: orthogonality slack for eigenvector matrices
-    orth: float = 1e-10
-    #: spectral reconstruction slack, relative to max(1, max|M|)
-    recon: float = 1e-10
-    #: Jacobi sweep convergence: off-diagonal Frobenius mass <= jacobi_off * ||M||_F
-    jacobi_off: float = 1e-14
     #: gate for the involution precondition ||Q^2 - I||_max
     involution: float = 1e-8
     #: exact-match slack when classifying transform parameters

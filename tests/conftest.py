@@ -45,6 +45,32 @@ def random_pd_instance(rng, max_dim=6):
     )
 
 
+class DecomposeCounter:
+    """Wraps ``linalg.eigendecompose`` and records every matrix it is given."""
+
+    def __init__(self, monkeypatch):
+        from fenchelfix import linalg
+
+        self.seen = []
+        original = linalg.eigendecompose
+
+        def counting(m, *args, **kwargs):
+            self.seen.append(np.array(m, dtype=float))
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "eigendecompose", counting)
+
+    def of(self, matrix) -> int:
+        """How many recorded matrices equal the symmetric part of ``matrix``."""
+        sym = 0.5 * (np.asarray(matrix) + np.asarray(matrix).T)
+        return sum(m.shape == sym.shape and np.array_equal(m, sym) for m in self.seen)
+
+
+@pytest.fixture
+def decompose_counter(monkeypatch):
+    return DecomposeCounter(monkeypatch)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240)

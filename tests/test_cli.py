@@ -68,6 +68,24 @@ class TestClassifyCommand:
         )
         assert run(tmp_path, "classify", "--config", cfg) == 2
 
+    def test_forty_dims_classify(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", identity_config(n=40, tau=1.0))
+        out = tmp_path / "report.json"
+        assert run(tmp_path, "classify", "--config", cfg, "--out", str(out)) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["classification"]["tag"] == "UniqueAllFunctions"
+        assert result["residual"]["samplePoints"] == 100
+        assert result["residual"]["maxAbs"] <= 1e-12
+
+    def test_lapack_failure_exit_four(self, tmp_path, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", boom)
+        cfg = write_config(tmp_path, "cfg.json", identity_config())
+        assert run(tmp_path, "classify", "--config", cfg, "--out", str(tmp_path / "r.json")) == 4
+        assert "internal error" in capsys.readouterr().err
+
     def test_reports_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", identity_config(tau=2.0))
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -93,6 +111,12 @@ class TestSolveCommand:
         assert run(tmp_path, "solve", "--config", cfg, "--out", str(out)) == 0
         result = json.loads(out.read_text())["result"]
         np.testing.assert_allclose(result["solution"]["A"], np.eye(2), atol=1e-12)
+
+    def test_decomposes_e_once(self, tmp_path, decompose_counter):
+        e = [[2.0, 1.0], [1.0, -1.0]]
+        cfg = write_config(tmp_path, "cfg.json", identity_config(e=e, tau=2.0))
+        assert run(tmp_path, "solve", "--config", cfg, "--out", str(tmp_path / "r.json")) == 0
+        assert decompose_counter.of(e) == 1
 
     def test_construction_failure_reported(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", identity_config(n=1, e=[[-1.0]], w=[1.0]))
@@ -205,3 +229,17 @@ class TestToleranceScaling:
         assert run(tmp_path, "classify", "--config", cfg, "--out", str(out), "--tol-scale", "10") == 0
         report = json.loads(out.read_text())
         assert report["tolerances"]["pd"] == pytest.approx(1e-9)
+
+    def test_tolerance_keys(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", identity_config())
+        out = tmp_path / "report.json"
+        assert run(tmp_path, "classify", "--config", cfg, "--out", str(out)) == 0
+        assert sorted(json.loads(out.read_text())["tolerances"]) == [
+            "cons_rel",
+            "involution",
+            "param_match",
+            "pd",
+            "psd",
+            "sing_rel",
+            "sym",
+        ]

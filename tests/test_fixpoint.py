@@ -6,6 +6,7 @@ from fenchelfix import (
     BadDeterminant,
     NotInvolution,
     NotPSD,
+    NotSymmetric,
     QuadraticFn,
     Singular,
     Tag,
@@ -28,6 +29,7 @@ from fenchelfix import (
     solve_lql,
     solve_positive_definite,
     solve_self_adjoint,
+    solve_symmetric,
     transform_residual,
     upper_envelope,
     verify_form_quadratic,
@@ -167,6 +169,70 @@ class TestClassify:
             p = TransformParams(-np.eye(n), np.zeros(n), w, 1.0, 0.0)
             assert classify(p).tag is Tag.NO_SOLUTION
             assert solve_self_adjoint(p) is None
+
+
+# fresh parameters per call: the spectrum is cached on each object
+BRANCHES = {
+    Tag.UNIQUE_ALL_FUNCTIONS: lambda: TransformParams(
+        np.diag([3.0, 1.0, 2.0]), [1.0, 0, 0], [1.0, 0, 0], 1.0, 0.5
+    ),
+    Tag.UNIQUE_IN_C2_CLASS: lambda: TransformParams(
+        np.diag([3.0, 1.0, 2.0]), [1.0, 0, 0], [0, 2.0, 0], 2.5, 0.5
+    ),
+    Tag.UNIQUE_IN_QUADRATIC_INVERTIBLE_CLASS: lambda: TransformParams(
+        [[2.0, 0.5], [0.5, 1.0]], [1.0, 0.0], [0.0, 1.0], 1.0, 0.0
+    ),
+    Tag.QUADRATIC_SOLUTION_EXISTS: lambda: TransformParams(
+        np.diag([1.0, -2.0, 3.0]), [1.0, 0, 0], [0, 1.0, 0], 2.0, 0.0
+    ),
+    Tag.NO_SOLUTION: lambda: TransformParams(-np.eye(2), np.zeros(2), [1.0, 0.0], 1.0, 0.0),
+    Tag.NO_QUADRATIC_SOLUTION_IN_CONSTRUCTION: lambda: TransformParams([[-1.0]], [0.0], [1.0], 1.0, 1.0),
+    Tag.UNDETERMINED: quarter_turn_params,
+}
+
+
+class TestOneSpectrumPerProblem:
+    @pytest.mark.parametrize("tag", list(BRANCHES), ids=lambda t: t.value)
+    def test_classify_decomposes_e_at_most_once(self, decompose_counter, tag):
+        p = BRANCHES[tag]()
+        assert classify(p).tag is tag
+        assert decompose_counter.of(p.E) <= 1
+        assert len(decompose_counter.seen) <= 1  # nothing else is decomposed either
+        classify(p)
+        assert len(decompose_counter.seen) <= 1  # the spectrum is cached on p
+
+    @pytest.mark.parametrize(
+        "tag", [t for t in BRANCHES if t is not Tag.UNDETERMINED], ids=lambda t: t.value
+    )
+    def test_solve_after_classify_reuses_the_spectrum(self, decompose_counter, tag):
+        p = BRANCHES[tag]()
+        outcome = classify(p)
+        solution = solve_symmetric(p)
+        assert decompose_counter.of(p.E) == 1
+        assert len(decompose_counter.seen) == 1
+        if outcome.solution is not None:
+            np.testing.assert_array_equal(solution.A, outcome.solution.A)
+            np.testing.assert_array_equal(solution.b, outcome.solution.b)
+            assert solution.gamma == outcome.solution.gamma
+
+    def test_residual_checks_reuse_the_spectra(self, decompose_counter):
+        p = BRANCHES[Tag.UNIQUE_IN_C2_CLASS]()
+        sol = classify(p).solution
+        pts = sample_points(3, 20, seed=1)
+        transform_residual(p, sol, pts)
+        functional_differential_residual(p, sol, pts)
+        verify_form_quadratic(p, sol)
+        upper_envelope(p)
+        g_scaling_residual(p, sol, sol, pts)
+        assert decompose_counter.of(p.E) == 1
+        assert decompose_counter.of(sol.A) == 1
+        # the only other decomposition is that of the lower envelope's
+        # leading coefficient, a new quadratic built by upper_envelope
+        assert len(decompose_counter.seen) == 3
+
+    def test_solve_symmetric_rejects_asymmetric_e(self):
+        with pytest.raises(NotSymmetric):
+            solve_symmetric(quarter_turn_params())
 
 
 class TestResiduals:

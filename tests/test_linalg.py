@@ -6,6 +6,7 @@ from fenchelfix import (
     Definiteness,
     NotPSD,
     NotSymmetric,
+    NumericalFailure,
     Singular,
     definiteness,
     eigendecompose,
@@ -62,6 +63,115 @@ class TestEigendecompose:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             eigendecompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+def assert_spectral_contract(m, spec, tol=1e-12):
+    """Descending order, the sign rule, orthogonality and reconstruction."""
+    n = m.shape[0]
+    scale = max(1.0, float(np.max(np.abs(m))))
+    assert spec.eigenvalues.shape == (n,) and spec.vectors.shape == (n, n)
+    assert np.all(np.diff(spec.eigenvalues) <= 0.0)
+    for j in range(n):
+        col = spec.vectors[:, j]
+        lead = np.nonzero(np.abs(col) > 1e-12)[0][0]
+        assert col[lead] > 0.0
+    assert np.max(np.abs(spec.vectors.T @ spec.vectors - np.eye(n))) <= 100 * n * tol
+    assert np.max(np.abs(spec.reconstruct() - m)) <= 100 * n * tol * scale
+
+
+def block_multiplicity_matrix(rng, n):
+    """U diag(d) U^T with every eigenvalue repeated 2 or 3 times."""
+    eigs = []
+    while len(eigs) < n:
+        eigs += [float(rng.uniform(-3.0, 3.0))] * int(rng.integers(2, 4))
+    return symmetric_from_eigs(rng, eigs[:n])
+
+
+class TestSpectralContract:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 32, 40])
+    def test_plus_minus_identity(self, n):
+        for sign in (1.0, -1.0):
+            m = sign * np.eye(n)
+            spec = eigendecompose(m)
+            assert_spectral_contract(m, spec)
+            assert np.all(spec.eigenvalues == sign)
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 17, 33, 40])
+    def test_repeated_eigenvalues(self, rng, n):
+        for _ in range(3):
+            m = block_multiplicity_matrix(rng, n)
+            assert_spectral_contract(m, eigendecompose(m))
+
+    def test_block_diagonal_repeats_without_rotation(self):
+        m = np.zeros((7, 7))
+        m[:3, :3] = 2.0 * np.eye(3)
+        m[3:5, 3:5] = [[0.0, -1.0], [-1.0, 0.0]]  # eigenvalues -1 and 1
+        m[5:, 5:] = -np.eye(2)
+        spec = eigendecompose(m)
+        assert_spectral_contract(m, spec)
+        np.testing.assert_allclose(spec.eigenvalues, [2, 2, 2, 1, -1, -1, -1], atol=1e-15)
+
+    def test_sign_rule_skips_negligible_leading_components(self):
+        # eigenvector of 2 is e2, whose first component is exactly zero
+        spec = eigendecompose(np.diag([1.0, 2.0]))
+        np.testing.assert_array_equal(spec.vectors, [[0.0, 1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("n", [3, 16, 40])
+    def test_byte_identical_repeats(self, rng, n):
+        for m in (block_multiplicity_matrix(rng, n), symmetric_from_eigs(rng, rng.uniform(-5, 5, n))):
+            first = eigendecompose(m.copy())
+            for _ in range(3):
+                again = eigendecompose(m.copy())
+                assert again.eigenvalues.tobytes() == first.eigenvalues.tobytes()
+                assert again.vectors.tobytes() == first.vectors.tobytes()
+
+    def test_lapack_failure_is_a_numerical_failure(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", boom)
+        with pytest.raises(NumericalFailure) as info:
+            eigendecompose(np.eye(2))
+        assert not isinstance(info.value, ValueError)
+
+
+def mp_eigenvalues(m):
+    """Eigenvalues of a symmetric matrix at 50 digits, descending."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        evals, _ = mpmath.eigsy(mpmath.matrix(m.tolist()))
+        return np.array(sorted((float(e) for e in evals), reverse=True))
+
+
+class TestGradedAccuracy:
+    """LAPACK against a 50-digit oracle on graded matrices, where Jacobi's
+    relative accuracy (Demmel & Veselic, SIMAX 1992) would be the reason to
+    prefer it.  Every cutoff in the library is relative to max|eigenvalue|,
+    so that is the accuracy required."""
+
+    CASES = [
+        np.diag([1e12, 1.0, 1e-12]),
+        np.array([[1e12, 1e6, 0.0], [1e6, 1.0, 1e-6], [0.0, 1e-6, 1e-12]]),
+        np.array([[1e12, 1e5, 1.0], [1e5, 1.0, 1e-7], [1.0, 1e-7, 1e-12]]),
+        np.array([[1e-12, 1e-7, 0.0], [1e-7, 1.0, -1e5], [0.0, -1e5, 1e12]]),
+    ]
+
+    @pytest.mark.parametrize("m", CASES)
+    def test_fixed_graded_cases(self, m):
+        got = eigendecompose(m).eigenvalues
+        want = mp_eigenvalues(m)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_scaled_graded_family(self, rng):
+        # D H D with H well conditioned and D spanning twelve decades
+        for n in (3, 5, 8):
+            h = symmetric_from_eigs(rng, rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n))
+            d = np.logspace(6, -6, n)
+            m = (d[:, None] * h) * d[None, :]
+            m = 0.5 * (m + m.T)
+            got = eigendecompose(m).eigenvalues
+            want = mp_eigenvalues(m)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestMatrixFunctions:
