@@ -80,7 +80,6 @@ from .discrete import (
     fast_conjugate,
     fenchel_young_check,
     grid_fixed_point_residual,
-    log_family_eval,
     lower_hull,
     sample,
     uniform_grid,

@@ -3,19 +3,30 @@
 Values may be +inf (outside the effective domain) but never -inf; every
 sampled function must be finite somewhere.  The conjugate at a slope s is
 the exact maximum of ``s*x_i - f(x_i)`` over finite nodes — no interpolation.
-``brute_conjugate`` scans every node and is the oracle; ``fast_conjugate``
-restricts the scan to lower-convex-hull vertices with a slope-ordered sweep
-and must agree with the oracle bit for bit.
+``brute_conjugate`` scans every node and is the oracle.  The other routes
+(``fast_conjugate``, the grid residual and the Fenchel-Young check) share
+one core: the merge step of Lucet's linear-time Legendre transform over the
+lower convex hull, which ``SampledFn.hull`` builds once per function.  It
+must agree with the oracle bit for bit; both return +0.0 for a zero maximum.
+``biconjugate`` interpolates over the same hull.
 
-Accuracy caveat: the discrete conjugate understates the true conjugate at
+A ``SampledFn`` owns read-only arrays: a writeable input is copied, an
+array that is already read-only is shared.
+
+Accuracy caveats: the discrete conjugate understates the true conjugate at
 slopes outside the range achievable on the grid, so verification grids are
-chosen wide enough that every queried slope is interior.
+chosen wide enough that every queried slope is interior.  The bitwise
+agreement also needs ``lower_hull`` to keep every node that can attain the
+maximum; its floating-point orientation test can drop a true vertex of data
+that is convex only by about one rounding error, and there the hull routes
+can fall short of the oracle in the last bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,24 +61,46 @@ def _check_values(values, size: int) -> np.ndarray:
     return v
 
 
+def _owned(a: np.ndarray, given) -> np.ndarray:
+    """``a`` read-only; a copy first when it is the caller's writeable array."""
+    if a is given and a.flags.writeable:
+        a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class SampledFn:
-    """Extended-real values on a strictly increasing 1-D grid."""
+    """Extended-real values on a strictly increasing 1-D grid.
+
+    The arrays are read-only and owned: a writeable input is copied, so
+    later writes by the caller cannot change the function or its hull.
+    """
 
     points: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        p = _check_grid(self.points)
-        v = _check_values(self.values, p.size)
-        p.flags.writeable = False
-        v.flags.writeable = False
+        p = _owned(_check_grid(self.points), self.points)
+        v = _owned(_check_values(self.values, p.size), self.values)
         object.__setattr__(self, "points", p)
         object.__setattr__(self, "values", v)
 
     @property
     def finite_mask(self) -> np.ndarray:
         return np.isfinite(self.values)
+
+    @cached_property
+    def hull(self) -> np.ndarray:
+        """Indices into ``points`` of the lower convex hull vertices of the
+        finite nodes, computed once per function."""
+        fin = np.flatnonzero(self.finite_mask)
+        return _frozen(fin[lower_hull(self.points[fin], self.values[fin])])
 
     def spacing(self) -> float:
         return float(np.max(np.diff(self.points))) if self.points.size > 1 else 0.0
@@ -82,8 +115,8 @@ class SampledFn2D:
     values: np.ndarray
 
     def __post_init__(self):
-        xs = _check_grid(self.xs)
-        ys = _check_grid(self.ys)
+        xs = _owned(_check_grid(self.xs), self.xs)
+        ys = _owned(_check_grid(self.ys), self.ys)
         v = np.asarray(self.values, dtype=float)
         if v.shape != (xs.size, ys.size):
             raise DimMismatch("2-D values must have shape (len(xs), len(ys))")
@@ -91,17 +124,15 @@ class SampledFn2D:
             raise ValueError("values must be finite or +inf")
         if not np.any(np.isfinite(v)):
             raise AllInfinite("sampled function has no finite value")
-        for a in (xs, ys, v):
-            a.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _owned(v, self.values))
 
 
 def sample(fn: Callable[[float], float], points) -> SampledFn:
     """Sample a scalar function on a grid (it may return +inf)."""
     p = _check_grid(points)
-    return SampledFn(p, np.array([float(fn(x)) for x in p]))
+    return SampledFn(p, _frozen(np.array([float(fn(x)) for x in p])))
 
 
 def uniform_grid(lo: float, hi: float, h: float) -> np.ndarray:
@@ -112,11 +143,9 @@ def uniform_grid(lo: float, hi: float, h: float) -> np.ndarray:
 
 def brute_conjugate(f: SampledFn, slopes) -> SampledFn:
     """Oracle conjugate: for each slope the max of s*x_i - f(x_i) over all
-    finite nodes, evaluated exactly on the grid."""
+    finite nodes, evaluated exactly on the grid; a zero maximum is +0.0."""
     s = _check_grid(slopes)
     mask = f.finite_mask
-    if not np.any(mask):
-        raise AllInfinite("cannot conjugate an everywhere-infinite function")
     xs = f.points[mask]
     vs = f.values[mask]
     out = np.empty(s.size)
@@ -124,7 +153,8 @@ def brute_conjugate(f: SampledFn, slopes) -> SampledFn:
     for i in range(0, s.size, block):
         sb = s[i : i + block]
         out[i : i + block] = np.max(sb[:, None] * xs[None, :] - vs[None, :], axis=1)
-    return SampledFn(s, out)
+    out += 0.0
+    return SampledFn(s, _frozen(out))
 
 
 def lower_hull(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -132,7 +162,7 @@ def lower_hull(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
     xs must be strictly increasing.  Collinear interior points are dropped
     (the smaller abscissa survives), which keeps the vertex choice — and so
-    the conjugate sweep — deterministic.
+    the conjugate — deterministic.
     """
     keep: list[int] = []
     for i in range(xs.size):
@@ -147,40 +177,41 @@ def lower_hull(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return np.asarray(keep, dtype=int)
 
 
+def _conjugate_at(f: SampledFn, s: np.ndarray) -> np.ndarray:
+    """max of s*x - f(x) over the hull vertices, for finite slopes in any
+    order (repeats allowed).
+
+    The merge step of Lucet's linear-time Legendre transform: the maximizer
+    for slope s is the hull vertex whose two edge slopes bracket s, found by
+    ``searchsorted``.  Rounded edge slopes can misplace it by one, so the
+    max is taken exactly over that vertex and its two neighbours, with the
+    oracle's expression.  Equal maxima are equal bits, except zeros, which
+    are made +0.0 on both routes.
+    """
+    if not np.all(np.isfinite(s)):
+        raise ValueError("slopes must be finite")
+    hx = f.points[f.hull]
+    hv = f.values[f.hull]
+    j = np.searchsorted(np.diff(hv) / np.diff(hx), s)
+    out = s * hx[j] - hv[j]
+    k = np.maximum(j - 1, 0)
+    np.maximum(out, s * hx[k] - hv[k], out=out)
+    np.minimum(j + 1, hx.size - 1, out=j)
+    np.maximum(out, s * hx[j] - hv[j], out=out)
+    out += 0.0
+    return out
+
+
 def fast_conjugate(f: SampledFn, slopes) -> SampledFn:
     """Linear-time conjugate via the lower convex hull.
 
-    The maximizing node for an ascending slope sweep only ever moves right
-    along the hull, so after the O(n) hull pass every slope costs amortized
-    O(1).  Values come from the same expression the oracle uses, and the
-    sweep advances on >= so equal-valued ties resolve to the rightmost
-    candidate exactly as the oracle's max reduction does; the two routes
-    are bitwise equal.
+    The hull comes from ``f.hull`` (built once per function) and each slope
+    costs one binary search over its edge slopes plus an exact three-vertex
+    max.  Values come from the same expression the oracle uses and a zero
+    maximum is +0.0 on both routes, so the two are bitwise equal.
     """
     s = _check_grid(slopes)
-    mask = f.finite_mask
-    if not np.any(mask):
-        raise AllInfinite("cannot conjugate an everywhere-infinite function")
-    xs = f.points[mask]
-    vs = f.values[mask]
-    hull = lower_hull(xs, vs)
-    hx = xs[hull]
-    hv = vs[hull]
-    out = np.empty(s.size)
-    j = 0
-    last = hx.size - 1
-    for i in range(s.size):
-        si = s[i]
-        cur = si * hx[j] - hv[j]
-        while j < last:
-            nxt = si * hx[j + 1] - hv[j + 1]
-            if nxt >= cur:
-                j += 1
-                cur = nxt
-            else:
-                break
-        out[i] = cur
-    return SampledFn(s, out)
+    return SampledFn(s, _frozen(_conjugate_at(f, s)))
 
 
 def biconjugate(f: SampledFn) -> SampledFn:
@@ -190,32 +221,18 @@ def biconjugate(f: SampledFn) -> SampledFn:
     keep their exact value; interior nodes take the chord value, clamped
     to never exceed the original sample (the clamp only absorbs roundoff).
     """
-    mask = f.finite_mask
-    if not np.any(mask):
-        raise AllInfinite("cannot biconjugate an everywhere-infinite function")
-    fin = np.nonzero(mask)[0]
-    xs = f.points[fin]
-    vs = f.values[fin]
-    hull = fin[lower_hull(xs, vs)]
-    hx = f.points[hull]
-    hv = f.values[hull]
-    out = np.full(f.points.size, INF)
-    seg = 0
-    for i in range(f.points.size):
-        x = f.points[i]
-        if x < hx[0] or x > hx[-1]:
-            continue
-        while seg + 1 < hx.size - 1 and hx[seg + 1] <= x:
-            seg += 1
-        if x == hx[seg]:
-            out[i] = hv[seg]
-        elif x == hx[seg + 1]:
-            out[i] = hv[seg + 1]
-        else:
-            t = (x - hx[seg]) / (hx[seg + 1] - hx[seg])
-            chord = hv[seg] + t * (hv[seg + 1] - hv[seg])
-            out[i] = min(chord, f.values[i])
-    return SampledFn(f.points, out)
+    hx = f.points[f.hull]
+    hv = f.values[f.hull]
+    x = f.points
+    seg = np.clip(np.searchsorted(hx, x, "right") - 1, 0, max(hx.size - 2, 0))
+    nxt = np.minimum(seg + 1, hx.size - 1)
+    with np.errstate(invalid="ignore", divide="ignore"):  # one vertex: no chord
+        t = (x - hx[seg]) / (hx[nxt] - hx[seg])
+        chord = hv[seg] + t * (hv[nxt] - hv[seg])
+    out = np.where(f.values < chord, f.values, chord)
+    out[(x < hx[0]) | (x > hx[-1])] = INF
+    out[f.hull] = hv
+    return SampledFn(f.points, _frozen(out))
 
 
 def conjugate_2d_brute(f: SampledFn2D, slopes_x, slopes_y) -> SampledFn2D:
@@ -226,10 +243,7 @@ def conjugate_2d_brute(f: SampledFn2D, slopes_x, slopes_y) -> SampledFn2D:
     """
     sx = _check_grid(slopes_x)
     sy = _check_grid(slopes_y)
-    mask = np.isfinite(f.values)
-    if not np.any(mask):
-        raise AllInfinite("cannot conjugate an everywhere-infinite function")
-    xi, yi = np.nonzero(mask)
+    xi, yi = np.nonzero(np.isfinite(f.values))
     px = f.xs[xi]
     py = f.ys[yi]
     pv = f.values[xi, yi]
@@ -238,7 +252,7 @@ def conjugate_2d_brute(f: SampledFn2D, slopes_x, slopes_y) -> SampledFn2D:
         ax = sx[a] * px - pv
         for b in range(sy.size):
             out[a, b] = np.max(ax + sy[b] * py)
-    return SampledFn2D(sx, sy, out)
+    return SampledFn2D(sx, sy, _frozen(out))
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +299,6 @@ class SignFlipSolution:
         return sample(self, points)
 
 
-def log_family_eval(member: SignFlipSolution, x: float) -> float:
-    return member(x)
-
-
 # ---------------------------------------------------------------------------
 # Grid-level residuals
 
@@ -331,11 +341,7 @@ def grid_fixed_point_residual(
         raise AllInfinite("no finite nodes to check in the requested window")
 
     xs = f.points[idx]
-    slopes = e * xs + c
-    order = np.argsort(slopes)
-    conj = fast_conjugate(f, slopes[order])
-    star = np.empty(slopes.size)
-    star[order] = conj.values
+    star = _conjugate_at(f, e * xs + c)
     residuals = f.values[idx] - p.tau * star - w * xs - p.beta
     rep = report_from_residuals(residuals, xs, grid_h=f.spacing())
     return rep
@@ -353,8 +359,6 @@ def fenchel_young_check(
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
         raise DimMismatch("pairs must be a nonempty sequence of (x, slope)")
-    if not np.any(f.finite_mask):
-        raise AllInfinite("sampled function has no finite value")
     xs = arr[:, 0]
     ss = arr[:, 1]
     snap = 1e-9 * max(1.0, f.spacing())
@@ -369,13 +373,7 @@ def fenchel_young_check(
     if not np.all(np.isfinite(f.values[node])):
         raise ValueError("pair abscissae must be in the effective domain")
 
-    order = np.argsort(ss, kind="stable")
-    sorted_s, inverse = np.unique(ss[order], return_inverse=True)
-    conj = fast_conjugate(f, sorted_s)
-    star = np.empty(ss.size)
-    star[order] = conj.values[inverse]
-
-    gaps = star + f.values[node] - ss * xs
+    gaps = _conjugate_at(f, ss) + f.values[node] - ss * xs
     k = int(np.argmin(gaps))
     violations = np.clip(-gaps, 0.0, None)
     return ResidualReport(

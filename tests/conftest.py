@@ -71,6 +71,27 @@ def decompose_counter(monkeypatch):
     return DecomposeCounter(monkeypatch)
 
 
+class HullCounter:
+    """Wraps ``discrete.lower_hull`` and records the size of every input."""
+
+    def __init__(self, monkeypatch):
+        from fenchelfix import discrete
+
+        self.sizes = []
+        original = discrete.lower_hull
+
+        def counting(xs, vs):
+            self.sizes.append(len(xs))
+            return original(xs, vs)
+
+        monkeypatch.setattr(discrete, "lower_hull", counting)
+
+
+@pytest.fixture
+def hull_counter(monkeypatch):
+    return HullCounter(monkeypatch)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240)

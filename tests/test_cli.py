@@ -155,6 +155,16 @@ class TestVerifyCommand:
         assert result["residual"]["maxAbs"] <= 0.02
         assert result["residual"]["gridH"] == pytest.approx(0.01)
 
+    def test_sampled_candidate_with_repeated_slopes(self, tmp_path):
+        payload = {
+            "params": {"E": [[1e-300]], "c": [0.5], "w": [0.0], "tau": 1.0, "beta": 0.0},
+            "candidate": {"sampled": {"points": [-1.0, 0.0, 1.0, 2.0], "values": [0.5] * 4}},
+        }
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        out = tmp_path / "report.json"
+        assert run(tmp_path, "verify", "--config", cfg, "--out", str(out)) == 0
+        assert json.loads(out.read_text())["result"]["residual"]["maxAbs"] == 0.0
+
     def test_missing_candidate_exit_two(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", identity_config())
         assert run(tmp_path, "verify", "--config", cfg) == 2
@@ -178,6 +188,20 @@ class TestConjugateCommand:
         values = np.asarray(result["conjugate"]["values"], dtype=float)
         slopes = np.linspace(-4.0, 4.0, 81)
         np.testing.assert_allclose(values, 0.5 * slopes * slopes, atol=1e-3)
+
+    def test_zero_maximum_passes_oracle_check(self, tmp_path):
+        xs = np.arange(-5.0, 6.0)
+        cfg = write_config(
+            tmp_path,
+            "conj.json",
+            {
+                "input": {"points": xs.tolist(), "values": (0.5 * xs * xs).tolist()},
+                "slopes": [-0.5, 0.25, 0.5],
+            },
+        )
+        out = tmp_path / "out.json"
+        assert run(tmp_path, "conjugate", "--config", cfg, "--check", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["result"]["oracleCheck"] == "bitwise-equal"
 
     def test_single_point_constant_output(self, tmp_path):
         cfg = write_config(

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from fenchelfix import (
     fast_conjugate,
     fenchel_young_check,
     grid_fixed_point_residual,
-    log_family_eval,
     sample,
     uniform_grid,
 )
@@ -38,6 +39,49 @@ def random_sampled(rng, max_nodes=120, inf_fraction=0.0):
         if not np.any(np.isfinite(vals)):
             vals[int(rng.integers(0, pts.size))] = float(rng.uniform(-1, 1))
     return SampledFn(pts, vals)
+
+
+STRESS_KINDS = ("near_collinear", "large", "collinear", "zero_tie")
+
+
+def stress_sampled(rng, kind):
+    """A sampled function and ascending slopes at which rounding makes the
+    hull route's choice of maximizing vertex hardest to get exactly right."""
+    if kind == "near_collinear":
+        # strictly convex, but its edge slopes differ from 3 by about 1e-12
+        pts = np.unique(rng.uniform(-10.0, 10.0, int(rng.integers(3, 200))))
+        vals = 3.0 * pts + 1e-13 * pts * pts
+        slopes = np.concatenate([3.0 + rng.uniform(-1e-11, 1e-11, 40), rng.uniform(-12, 12, 20)])
+    elif kind == "large":
+        centre = float(rng.choice([-1e6, 1e6]))
+        pts = np.unique(centre + rng.uniform(-50.0, 50.0, int(rng.integers(2, 150))))
+        vals = rng.uniform(-8, 8, pts.size)
+        if rng.random() < 0.5:
+            vals += 0.5 * (pts - centre) ** 2
+        slopes = rng.uniform(-12, 12, 60)
+    elif kind == "collinear":
+        # piecewise linear with integer breakpoints and slopes, so every
+        # collinear run ties exactly at its own slope
+        pts = np.unique(rng.integers(-30, 31, int(rng.integers(2, 50)))).astype(float)
+        pieces = rng.integers(-4, 5, 4).astype(float)
+        breaks = np.sort(rng.integers(-30, 31, 3)).astype(float)
+        vals = pieces[0] * pts + np.clip(pts[:, None] - breaks, 0.0, None) @ np.diff(pieces)
+        slopes = np.concatenate([pieces, 0.5 * rng.integers(-10, 11, 10), rng.uniform(-6, 6, 10)])
+    else:
+        # integer data through (0, 0): at slopes -0.5, 0 and 0.5 the max of
+        # s*x - f(x) is often a zero tie between x = 0 and another node, one
+        # of which evaluates to -0.0
+        m = int(rng.integers(1, 20))
+        pts = np.arange(-m, m + 1, dtype=float)
+        shape = int(rng.integers(0, 3))
+        if shape == 0:
+            vals = 0.5 * pts * pts
+        elif shape == 1:
+            vals = np.clip(np.abs(pts) - float(rng.integers(0, m + 1)), 0.0, None)
+        else:
+            vals = np.where(pts * float(rng.choice([-1, 1])) >= 0.0, 0.0, np.inf)
+        slopes = np.concatenate([[-0.5, 0.0, 0.5], 0.5 * rng.integers(-6, 7, 6)])
+    return SampledFn(pts, vals), np.unique(slopes)
 
 
 class TestBruteConjugate:
@@ -84,6 +128,23 @@ class TestFastConjugate:
             fast = fast_conjugate(f, slopes)
             brute = brute_conjugate(f, slopes)
             assert fast.values.tobytes() == brute.values.tobytes()
+        for k in range(200):
+            f, slopes = stress_sampled(rng, STRESS_KINDS[k % len(STRESS_KINDS)])
+            fast = fast_conjugate(f, slopes)
+            brute = brute_conjugate(f, slopes)
+            assert fast.values.tobytes() == brute.values.tobytes()
+
+    def test_zero_maximum_is_positive_zero(self):
+        # at slopes +-0.5 the maximum 0 is attained at x = 0 and x = +-1; the
+        # node x = 0 evaluates to -0.0 at slope -0.5
+        xs = np.arange(-5.0, 6.0)
+        f = SampledFn(xs, 0.5 * xs * xs)
+        slopes = np.array([-0.5, 0.25, 0.5])
+        fast = fast_conjugate(f, slopes)
+        brute = brute_conjugate(f, slopes)
+        assert fast.values.tobytes() == brute.values.tobytes()
+        assert fast.values[0] == 0.0 and not np.signbit(fast.values[0])
+        assert fast.values[2] == 0.0 and not np.signbit(fast.values[2])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -132,7 +193,28 @@ class TestFastConjugate:
             assert np.all(fs >= gs - 1e-12)
 
 
+# sha256 over biconjugate(f).values for the corpus below, recorded from the
+# per-node chord walk the vectorised biconjugate replaced.
+BICONJUGATE_DIGEST = "aff12c42a6f6408178ad5732452cc50aec4d75e54f28ae4fa5fcc7cc0b766ad8"
+
+
+def biconjugate_corpus():
+    rng = np.random.default_rng(31337)
+    for k in range(120):
+        kind = k % (2 + len(STRESS_KINDS))
+        if kind < 2:
+            yield random_sampled(rng, inf_fraction=0.3 * kind)
+        else:
+            yield stress_sampled(rng, STRESS_KINDS[kind - 2])[0]
+
+
 class TestBiconjugate:
+    def test_bytes_match_the_recorded_digest(self):
+        h = hashlib.sha256()
+        for f in biconjugate_corpus():
+            h.update(biconjugate(f).values.tobytes())
+        assert h.hexdigest() == BICONJUGATE_DIGEST
+
     def test_convex_data_unchanged(self):
         xs = np.linspace(-4.0, 4.0, 81)
         f = SampledFn(xs, 0.5 * xs * xs)
@@ -171,10 +253,10 @@ class TestBiconjugate:
 
 class TestSignFlipFamily:
     def test_pointwise_values(self):
-        assert log_family_eval(SignFlipSolution("neg_log"), 1.0) == pytest.approx(-0.5)
-        assert log_family_eval(SignFlipSolution("ray_indicator"), -1.0) == np.inf
-        assert log_family_eval(SignFlipSolution("split_quadratic", lam=2.0), -1.0) == pytest.approx(1.0)
-        assert log_family_eval(SignFlipSolution("split_quadratic", lam=2.0), 1.0) == pytest.approx(0.25)
+        assert SignFlipSolution("neg_log")(1.0) == pytest.approx(-0.5)
+        assert SignFlipSolution("ray_indicator")(-1.0) == np.inf
+        assert SignFlipSolution("split_quadratic", lam=2.0)(-1.0) == pytest.approx(1.0)
+        assert SignFlipSolution("split_quadratic", lam=2.0)(1.0) == pytest.approx(0.25)
 
     def test_half_square_grid_residual(self):
         h = 0.01
@@ -216,6 +298,61 @@ class TestSignFlipFamily:
                 FLIP, mirrored.sample(-grid[::-1]), window=(-5.0, 5.0), boundary_exclusion=excl
             )
             assert rep_m.max_abs <= bound
+
+
+class TestSampledFnOwnsItsArrays:
+    def test_caller_arrays_stay_writeable_and_detached(self):
+        xs = np.linspace(-2.0, 2.0, 9)
+        vals = np.abs(xs) + 1.0
+        f = SampledFn(xs, vals)
+        hull = f.hull.copy()
+        assert xs.flags.writeable and vals.flags.writeable
+        assert f.points is not xs and f.values is not vals
+        xs[4] = 0.01
+        vals[:] = 5.0
+        assert f.points[4] == 0.0
+        np.testing.assert_array_equal(f.values, np.abs(f.points) + 1.0)
+        np.testing.assert_array_equal(f.hull, hull)
+
+    def test_sample_and_fast_conjugate_leave_inputs_alone(self):
+        grid = uniform_grid(-1.0, 1.0, 0.5)
+        f = sample(SignFlipSolution("half_square"), grid)
+        assert grid.flags.writeable and f.points is not grid
+        slopes = np.array([-1.0, 0.0, 1.0])
+        conj = fast_conjugate(f, slopes)
+        assert slopes.flags.writeable and conj.points is not slopes
+        grid[0] = -7.0
+        slopes[0] = -7.0
+        assert f.points[0] == -1.0 and conj.points[0] == -1.0
+
+    def test_2d_inputs_are_copied(self):
+        xs = np.array([0.0, 1.0])
+        vals = np.zeros((2, 2))
+        g = SampledFn2D(xs, xs, vals)
+        assert xs.flags.writeable and vals.flags.writeable
+        vals[0, 0] = 9.0
+        assert g.values[0, 0] == 0.0
+
+    def test_library_outputs_are_shared_not_copied(self):
+        f = SampledFn(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 5.0, 0.0]))
+        assert not f.points.flags.writeable and not f.hull.flags.writeable
+        assert biconjugate(f).points is f.points
+        assert SampledFn(f.points, f.values).points is f.points
+
+
+class TestHullOnce:
+    def test_one_hull_per_sampled_function(self, hull_counter):
+        h = 0.01
+        f = SignFlipSolution("split_quadratic", lam=2.0).sample(uniform_grid(-11.0, 11.0, h))
+        fast_conjugate(f, np.linspace(-2.0, 2.0, 41))
+        grid_fixed_point_residual(FLIP, f, window=(-5.0, 5.0))
+        biconjugate(f)
+        fenchel_young_check(f, [(0.0, 0.5), (1.0, -1.0)])
+        assert hull_counter.sizes == [f.points.size]
+
+    def test_hull_of_finite_nodes(self):
+        f = SampledFn([-2.0, -1.0, 0.0, 1.0, 2.0], [np.inf, 1.0, 3.0, 0.0, np.inf])
+        np.testing.assert_array_equal(f.hull, [1, 3])
 
 
 class TestConjugate2D:
@@ -321,6 +458,15 @@ class TestGridResidualWindowing:
         f = SignFlipSolution("half_square").sample(uniform_grid(-5.0, 5.0, h))
         rep = grid_fixed_point_residual(FLIP, f, window=(-1.0, 1.0))
         assert rep.sample_points == 201
+
+    def test_repeated_slopes_are_accepted(self):
+        # e = 1e-300 rounds every slope e*x + c to c; the constant xmax/4
+        # solves f(x) = f*(c) with c = 1/2
+        p = TransformParams([[1e-300]], [0.5], [0.0], 1.0, 0.0)
+        f = SampledFn([-1.0, 0.0, 1.0, 2.0], [0.5, 0.5, 0.5, 0.5])
+        rep = grid_fixed_point_residual(p, f)
+        assert rep.max_abs == 0.0
+        assert rep.sample_points == 4
 
     def test_scalar_parameters_required(self):
         f = SignFlipSolution("half_square").sample(uniform_grid(-1.0, 1.0, 0.1))
