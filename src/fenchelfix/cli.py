@@ -155,7 +155,6 @@ def cmd_verify(args) -> int:
             f,
             window=None if window is None else (float(window[0]), float(window[1])),
             boundary_exclusion=float(opts.get("boundary_exclusion", 0.0)),
-            tol=tol,
         )
         report["result"]["residual"] = serialize.report_to_json(residual)
     else:
@@ -267,7 +266,7 @@ def _demo_log(opts: dict, tol: Tolerances) -> tuple[dict, bool]:
         grid = discrete.uniform_grid(lo, hi, h)
         fn = member.sample(grid)
         residual = discrete.grid_fixed_point_residual(
-            flip, fn, window=(-5.0, 5.0), boundary_exclusion=exclusion, tol=tol
+            flip, fn, window=(-5.0, 5.0), boundary_exclusion=exclusion
         )
         out[name] = serialize.report_to_json(residual)
         ok = ok and residual.max_abs <= bound

@@ -34,7 +34,6 @@ import numpy as np
 from .errors import AllInfinite, DimMismatch
 from .quadratic import TransformParams
 from .reports import ResidualReport, report_from_residuals
-from .tolerances import DEFAULT_TOL, Tolerances
 
 INF = np.inf
 
@@ -308,7 +307,6 @@ def grid_fixed_point_residual(
     f: SampledFn,
     window: Optional[Tuple[float, float]] = None,
     boundary_exclusion: float = 0.0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> ResidualReport:
     """Residual of f(x) = tau f*(e x + c) + w x + beta on a 1-D grid.
 
@@ -347,9 +345,7 @@ def grid_fixed_point_residual(
     return rep
 
 
-def fenchel_young_check(
-    f: SampledFn, pairs: Sequence[Tuple[float, float]], tol: Tolerances = DEFAULT_TOL
-) -> ResidualReport:
+def fenchel_young_check(f: SampledFn, pairs: Sequence[Tuple[float, float]]) -> ResidualReport:
     """Most negative value of f*(s) + f(x) - s x over (x, s) pairs.
 
     Each x must be a finite grid node (snapped within 1e-9 of spacing).

@@ -251,6 +251,22 @@ def solve_symmetric(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> Option
     return solve_self_adjoint(p, tol)
 
 
+def _rows(p: TransformParams, points: Iterable) -> np.ndarray:
+    """The sample points as a ``(K, dim)`` array, one point per row."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != p.dim:
+        raise DimMismatch("points dimension does not match the transform")
+    return pts
+
+
+def _values(f: Callable[[np.ndarray], float], pts: np.ndarray) -> np.ndarray:
+    """Values of f at the rows of pts: one array pass for a quadratic, one
+    call per row for any other callable."""
+    if isinstance(f, QuadraticFn):
+        return f.values(pts)
+    return np.array([f(x) for x in pts], dtype=float)
+
+
 def _default_points(p: TransformParams, count: int = 100) -> np.ndarray:
     seed = instance_seed(p.E, p.c, p.w, [p.tau, p.beta])
     return sample_points(p.dim, count, seed=seed)
@@ -262,11 +278,16 @@ def transform_residual(
     points: Iterable,
     tol: Tolerances = DEFAULT_TOL,
 ) -> ResidualReport:
-    """Pointwise gap between q and its transform: zero exactly at fixed points."""
+    """Pointwise gap between q and its transform: zero exactly at fixed points.
+
+    Besides the absolute gap the report carries ``max_rel``, the largest
+    ``|q - Tq| / (1 + |q| + |Tq|)``, which means the same at every scale of
+    tau, E and the function values.
+    """
     tq = apply_transform(p, q, tol)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    residuals = [q(x) - tq(x) for x in pts]
-    return report_from_residuals(residuals, pts)
+    pts = _rows(p, points)
+    fq, ftq = q.values(pts), tq.values(pts)
+    return report_from_residuals(fq - ftq, pts, scale=1.0 + np.abs(fq) + np.abs(ftq))
 
 
 Variant = str  # "Tsquared" | "General" | "SelfAdjoint"
@@ -297,20 +318,16 @@ def functional_eq_residual(
     All three are exact consequences of the fixed-point equation; the
     closed-form solutions drive every one of them to roundoff.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != p.dim:
-        raise DimMismatch("points dimension does not match the transform")
+    pts = _rows(p, points)
     e_inv = linalg.invert(p.E, tol)
     tau, c, w, beta = p.tau, p.c, p.w, p.beta
     e_inv_c = e_inv @ c
-    residuals = np.empty(len(pts))
     if variant == "Tsquared":
         back = e_inv.T / tau
         lin = w - tau * (p.E.T @ e_inv_c)
         const = tau * float(w @ e_inv_c) - tau * float(e_inv_c @ c) + beta * (1.0 - tau)
-        for i, x in enumerate(pts):
-            inner = back @ (p.E @ x + c - w)
-            residuals[i] = f(x) - (tau**2 * f(inner) + float(lin @ x) + const)
+        inner = (pts @ p.E.T + c - w) @ back.T
+        residuals = _values(f, pts) - (tau**2 * _values(f, inner) + pts @ lin + const)
     elif variant in ("General", "SelfAdjoint"):
         if variant == "SelfAdjoint":
             if not linalg.is_symmetric(p.E, tol):
@@ -318,12 +335,10 @@ def functional_eq_residual(
             fwd = tau * np.eye(p.dim)
         else:
             fwd = tau * (e_inv @ p.E.T)
-        shift = e_inv @ w - e_inv_c
-        for i, x in enumerate(pts):
-            y = fwd @ x + shift
-            residuals[i] = f(y) - (
-                tau**2 * f(x) + float(w @ y) - tau**2 * float(c @ x) + beta * (1.0 - tau)
-            )
+        y = pts @ fwd.T + (e_inv @ w - e_inv_c)
+        residuals = _values(f, y) - (
+            tau**2 * _values(f, pts) + y @ w - tau**2 * (pts @ c) + beta * (1.0 - tau)
+        )
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return report_from_residuals(residuals, pts)
@@ -339,7 +354,7 @@ def shift_equation_residual(
     expected outcome; w = 0 gives the trivial identity.
     """
     pts = np.asarray(points, dtype=float).ravel()
-    residuals = [f(x) - f(x + w) - w * x for x in pts]
+    residuals = _values(f, pts) - _values(f, pts + w) - w * pts
     return report_from_residuals(residuals, pts)
 
 
@@ -395,14 +410,10 @@ def g_scaling_residual(
         raise NotPSD("the scaling law requires positive semidefinite E")
     e_inv = spec.apply(lambda d: 1.0 / d)
     shift = e_inv @ p.w - e_inv @ p.c
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-
-    def g(z):
-        return f(z) - p2(z)
-
-    residuals = np.empty(len(pts))
-    for i, x in enumerate(pts):
-        residuals[i] = g(p.tau * x + shift) - p.tau**2 * g(x)
+    pts = _rows(p, points)
+    y = p.tau * pts + shift
+    g_y = _values(f, y) - _values(p2, y)
+    residuals = g_y - p.tau**2 * (_values(f, pts) - _values(p2, pts))
     return report_from_residuals(residuals, pts)
 
 
@@ -451,12 +462,11 @@ def functional_differential_residual(
     if not spec.positive_definite(tol):
         raise NotPositiveDefinite("explicit gradient inverse needs positive definite A")
     a_inv = spec.apply(lambda d: 1.0 / d)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    residuals = np.empty(len(pts))
-    for i, x in enumerate(pts):
-        y = p.E @ x + p.c
-        u = a_inv @ (y - q.b)
-        residuals[i] = q(x) - (p.tau * (float(y @ u) - q(u)) + float(p.w @ x) + p.beta)
+    pts = _rows(p, points)
+    y = pts @ p.E.T + p.c
+    u = (y - q.b) @ a_inv.T
+    conj = np.einsum("ij,ij->i", y, u) - q.values(u)
+    residuals = q.values(pts) - (p.tau * conj + pts @ p.w + p.beta)
     return report_from_residuals(residuals, pts)
 
 

@@ -57,6 +57,21 @@ class QuadraticFn:
         v = linalg.as_vector(x, self.dim)
         return float(0.5 * v @ self.A @ v + self.b @ v + self.gamma)
 
+    def values(self, xs) -> np.ndarray:
+        """Values at the rows of a ``(K, dim)`` array, in one array pass.
+
+        The array is validated once, with the error types of ``__call__``;
+        each value agrees with ``__call__`` up to rounding.
+        """
+        x = np.asarray(xs, dtype=float)
+        if x.ndim != 2:
+            raise DimMismatch(f"expected a 2-D array of points, got shape {x.shape}")
+        if x.shape[1] != self.dim:
+            raise DimMismatch(f"expected dimension {self.dim}, got {x.shape[1]}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("point entries must be finite")
+        return 0.5 * np.einsum("ij,ij->i", x @ self.A, x) + x @ self.b + self.gamma
+
     def gradient(self, x) -> np.ndarray:
         v = linalg.as_vector(x, self.dim)
         return self.A @ v + self.b

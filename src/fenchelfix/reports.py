@@ -14,7 +14,9 @@ class ResidualReport:
 
     ``max_abs >= mean_abs >= 0`` always holds.  ``grid_h`` is set by
     grid-based checks so tolerances can scale with the spacing;
-    ``min_gap`` is set by inequality checks (most negative slack seen).
+    ``min_gap`` is set by inequality checks (most negative slack seen);
+    ``max_rel`` is set by checks that know the size of what they compare
+    (largest residual relative to its scale).
     """
 
     max_abs: float
@@ -23,17 +25,21 @@ class ResidualReport:
     worst_point: Optional[np.ndarray]
     grid_h: Optional[float] = None
     min_gap: Optional[float] = None
+    max_rel: Optional[float] = None
 
 
-def report_from_residuals(residuals, points=None, grid_h=None) -> ResidualReport:
+def report_from_residuals(residuals, points=None, grid_h=None, scale=None) -> ResidualReport:
     """Reduce raw residuals to a report.
 
     The mean uses numpy's pairwise summation, so reports do not depend on
-    evaluation order beyond floating-point associativity.
+    evaluation order beyond floating-point associativity.  With ``scale``
+    (one positive entry per residual) the report also carries
+    ``max_rel = max |residual| / scale``.
     """
     r = np.abs(np.asarray(residuals, dtype=float))
+    max_rel = None if scale is None else float(np.max(r / scale, initial=0.0))
     if r.size == 0:
-        return ResidualReport(0.0, 0.0, 0, None, grid_h=grid_h)
+        return ResidualReport(0.0, 0.0, 0, None, grid_h=grid_h, max_rel=max_rel)
     k = int(np.argmax(r))
     worst = None
     if points is not None:
@@ -44,4 +50,5 @@ def report_from_residuals(residuals, points=None, grid_h=None) -> ResidualReport
         sample_points=int(r.size),
         worst_point=worst,
         grid_h=grid_h,
+        max_rel=max_rel,
     )

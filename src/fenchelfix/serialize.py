@@ -4,7 +4,8 @@ The data model is plain JSON: objects, arrays, numbers and strings, with
 the string ``"inf"`` as the sentinel for +inf in sampled values.  Matrices
 travel as row-major nested arrays.  Field names are part of the report
 contract: tag / solution / x0 / note for classifications and maxAbs /
-meanAbs / samplePoints / worstPoint for residual reports.
+meanAbs / samplePoints / worstPoint for residual reports (plus gridH,
+minGap and maxRel when the check sets them).
 """
 
 from __future__ import annotations
@@ -133,6 +134,8 @@ def report_to_json(r: ResidualReport) -> dict:
         out["gridH"] = float(r.grid_h)
     if r.min_gap is not None:
         out["minGap"] = float(r.min_gap)
+    if r.max_rel is not None:
+        out["maxRel"] = float(r.max_rel)
     return out
 
 

@@ -92,6 +92,27 @@ def hull_counter(monkeypatch):
     return HullCounter(monkeypatch)
 
 
+class EvalCounter:
+    """Wraps ``QuadraticFn.__call__`` and counts the per-point evaluations."""
+
+    def __init__(self, monkeypatch):
+        from fenchelfix import QuadraticFn
+
+        self.calls = 0
+        original = QuadraticFn.__call__
+
+        def counting(q, x):
+            self.calls += 1
+            return original(q, x)
+
+        monkeypatch.setattr(QuadraticFn, "__call__", counting)
+
+
+@pytest.fixture
+def eval_counter(monkeypatch):
+    return EvalCounter(monkeypatch)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240)

@@ -262,8 +262,11 @@ def test_criterion_08_envelope_sandwich():
     for p, sol in pd_corpus():
         low = lower_envelope(p)
         up = upper_envelope(p)
-        for x in sample_points(p.dim, 500, seed=5):
-            worst_slack = min(worst_slack, sol(x) - low(x), up(x) - sol(x))
+        pts = sample_points(p.dim, 500, seed=5)
+        mid = sol.values(pts)
+        worst_slack = min(
+            worst_slack, float(np.min(mid - low.values(pts))), float(np.min(up.values(pts) - mid))
+        )
     sandwich_ok = worst_slack >= -1e-9
 
     # regression: the inverse-coefficient closed form is NOT an upper bound.

@@ -126,6 +126,16 @@ class TestSolveCommand:
         assert result["solution"] is None
         assert result["tag"] == "NoQuadraticSolutionInConstruction"
 
+    def test_relative_residual_reported_and_byte_identical(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", identity_config(n=3, tau=1e12, beta=0.7))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(tmp_path, "solve", "--config", cfg, "--out", str(a), "--seed", "3") == 0
+        assert run(tmp_path, "solve", "--config", cfg, "--out", str(b), "--seed", "3") == 0
+        assert a.read_bytes() == b.read_bytes()
+        residual = json.loads(a.read_text())["result"]["residual"]
+        assert 0.0 <= residual["maxRel"] <= 1e-12
+        assert residual["maxRel"] <= residual["maxAbs"]
+
 
 class TestVerifyCommand:
     def test_quadratic_candidate(self, tmp_path):
@@ -154,6 +164,20 @@ class TestVerifyCommand:
         result = json.loads(out.read_text())["result"]
         assert result["residual"]["maxAbs"] <= 0.02
         assert result["residual"]["gridH"] == pytest.approx(0.01)
+
+    def test_sampled_candidate_ignores_tol_scale(self, tmp_path):
+        xs = np.round(np.arange(-5.0, 5.0 + 1e-9, 0.01), 10)
+        payload = {
+            "params": {"E": [[-1.0]], "c": [0.0], "w": [0.0], "tau": 1.0, "beta": 0.0},
+            "candidate": {"sampled": {"points": xs.tolist(), "values": (0.5 * xs**2).tolist()}},
+        }
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(tmp_path, "verify", "--config", cfg, "--out", str(a)) == 0
+        assert run(tmp_path, "verify", "--config", cfg, "--out", str(b), "--tol-scale", "100") == 0
+        ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
+        assert ra["result"] == rb["result"]
+        assert "maxRel" not in ra["result"]["residual"]
 
     def test_sampled_candidate_with_repeated_slopes(self, tmp_path):
         payload = {

@@ -4,6 +4,7 @@ import pytest
 from conftest import random_indefinite_matrix, random_orthogonal, random_pd_instance
 from fenchelfix import (
     BadDeterminant,
+    DimMismatch,
     NotInvolution,
     NotPSD,
     NotSymmetric,
@@ -11,6 +12,7 @@ from fenchelfix import (
     Singular,
     Tag,
     TransformParams,
+    apply_transform,
     check_involution_psd,
     classify,
     eigendecompose,
@@ -35,6 +37,7 @@ from fenchelfix import (
     verify_form_quadratic,
     x0_point,
 )
+from fenchelfix.reports import report_from_residuals
 
 
 def identity_params(n=2, tau=1.0, beta=0.0):
@@ -288,6 +291,162 @@ class TestResiduals:
         bogus = QuadraticFn(3.0 * np.eye(2), np.zeros(2), 0.0)
         unit = sample_points(2, 50, seed=11, radius=1.0)
         assert functional_differential_residual(identity_params(), bogus, unit).max_abs > 0.1
+
+
+def _pointwise_transform_residuals(p, q, pts):
+    tq = apply_transform(p, q)
+    return np.array([q(x) - tq(x) for x in pts])
+
+
+def _pointwise_differential_residuals(p, q, pts):
+    a_inv = invert(q.A)
+    out = []
+    for x in pts:
+        y = p.E @ x + p.c
+        u = a_inv @ (y - q.b)
+        out.append(q(x) - (p.tau * (float(y @ u) - q(u)) + float(p.w @ x) + p.beta))
+    return np.array(out)
+
+
+def _off_solution(p):
+    """A quadratic near the solution that is not one, so residuals are O(1)."""
+    sol = solve_positive_definite(p)
+    return QuadraticFn(1.1 * sol.A, sol.b + 0.25, sol.gamma - 0.5)
+
+
+# The batched residuals evaluate in another order than the per-point
+# formulas, so reports agree to rounding, not bitwise.  On these instances
+# (tau up to 5, points within radius 3) every compared value stays below
+# about 3e3, so 1e-11 is some 16 ulps of the largest; the measured gaps
+# stay below 5e-13 over 200 instances.
+AGREE = 1e-11
+
+
+def _agree(rep, ref):
+    assert rep.sample_points == ref.sample_points
+    assert abs(rep.max_abs - ref.max_abs) <= AGREE
+    assert abs(rep.mean_abs - ref.mean_abs) <= AGREE
+
+
+class TestBatchedResiduals:
+    def test_transform_residual_matches_pointwise(self, rng):
+        for _ in range(20):
+            p = random_pd_instance(rng)
+            pts = sample_points(p.dim, 60, seed=40)
+            for q in (solve_positive_definite(p), _off_solution(p)):
+                ref = _pointwise_transform_residuals(p, q, pts)
+                _agree(transform_residual(p, q, pts), report_from_residuals(ref, pts))
+
+    def test_differential_residual_matches_pointwise(self, rng):
+        for _ in range(20):
+            p = random_pd_instance(rng)
+            pts = sample_points(p.dim, 60, seed=41)
+            for q in (solve_positive_definite(p), _off_solution(p)):
+                ref = _pointwise_differential_residuals(p, q, pts)
+                _agree(functional_differential_residual(p, q, pts), report_from_residuals(ref, pts))
+
+    def test_functional_eq_quadratic_and_callable_agree(self, rng):
+        for _ in range(20):
+            p = random_pd_instance(rng)
+            pts = sample_points(p.dim, 60, seed=42)
+            for q in (solve_positive_definite(p), _off_solution(p)):
+                for variant in ("Tsquared", "General", "SelfAdjoint"):
+                    _agree(
+                        functional_eq_residual(p, q, variant, pts),
+                        functional_eq_residual(p, lambda x: q(x), variant, pts),
+                    )
+
+    def test_g_scaling_quadratic_and_callable_agree(self, rng):
+        for _ in range(20):
+            p = random_pd_instance(rng)
+            sol, other = solve_positive_definite(p), _off_solution(p)
+            pts = sample_points(p.dim, 60, seed=43)
+            _agree(
+                g_scaling_residual(p, other, sol, pts),
+                g_scaling_residual(p, lambda x: other(x), lambda x: sol(x), pts),
+            )
+
+    def test_callable_is_called_once_per_row(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.shape)
+            return 0.5 * float(x @ x)
+
+        pts = sample_points(2, 30, seed=44)
+        functional_eq_residual(identity_params(), f, "General", pts)
+        assert calls == [(2,)] * 60
+
+    def test_quadratic_residuals_make_no_pointwise_calls(self, rng, eval_counter):
+        p = random_pd_instance(rng)
+        sol = solve_positive_definite(p)
+        pts = sample_points(p.dim, 100, seed=45)
+        transform_residual(p, sol, pts)
+        for variant in ("Tsquared", "General", "SelfAdjoint"):
+            functional_eq_residual(p, sol, variant, pts)
+        functional_differential_residual(p, sol, pts)
+        g_scaling_residual(p, sol, sol, pts)
+        assert eval_counter.calls == 0
+        functional_eq_residual(p, lambda x: sol(x), "General", pts)
+        assert eval_counter.calls == 200
+
+    def test_rejects_bad_points(self):
+        p = identity_params()
+        with pytest.raises(DimMismatch):
+            transform_residual(p, energy(2), np.ones((4, 3)))
+        with pytest.raises(DimMismatch):
+            functional_differential_residual(p, energy(2), np.ones((4, 3)))
+        with pytest.raises(ValueError):
+            transform_residual(p, energy(2), [[0.0, np.nan]])
+
+
+class TestRelativeResidual:
+    C = [0.5, -1.0, 2.0]
+    W = [1.0, 0.3, -0.2]
+
+    def test_only_the_transform_residual_is_relative(self):
+        pts = sample_points(2, 20, seed=46)
+        p = identity_params(tau=2.0)
+        sol = solve_positive_definite(p)
+        assert transform_residual(p, sol, pts).max_rel is not None
+        assert functional_eq_residual(p, sol, "General", pts).max_rel is None
+        assert functional_differential_residual(p, sol, pts).max_rel is None
+
+    def test_off_solution_value(self):
+        # for E = I, tau = 1, beta = 1 the transform of the energy is the
+        # energy plus 1, so the gap is 1 everywhere: relative to
+        # 1 + |q| + |Tq| it is 1/2 at the origin and 1/27 at (3, 4)
+        rep = transform_residual(identity_params(beta=1.0), energy(2), [[3.0, 4.0], [0.0, 0.0]])
+        assert rep.max_abs == 1.0
+        assert rep.max_rel == 0.5
+
+    @pytest.mark.parametrize(
+        "e, tau",
+        [
+            (np.eye(3), 1e12),
+            (1e-6 * np.eye(3), 2.0),
+            (np.diag([1e-6, 1.0, 1e6]), 2.0),
+            (np.diag([1e-6, 1.0, 1e6]), 1e12),
+            (np.diag([1e-3, -1.0, 1e3]), 2.0),
+            (np.diag([2.0, -1.0, 0.5]), 1e12),
+        ],
+        ids=["tau1e12", "E1e-6", "graded", "graded_tau1e12", "graded_indefinite", "indefinite_tau1e12"],
+    )
+    def test_extreme_scales(self, e, tau):
+        # the absolute residual of these exact solutions grows with the scale
+        # of tau, E and the values (up to about 6e-5 here); the relative one
+        # stays near 1e-15, except 5.8e-13 for the graded E at tau = 1e12,
+        # whose transform inverts a 1e12-conditioned A
+        p = TransformParams(e, self.C, self.W, tau, 0.7)
+        sol = solve_symmetric(p)
+        rep = transform_residual(p, sol, sample_points(3, 100, seed=31))
+        assert rep.max_rel <= 1e-12
+
+    def test_large_values(self):
+        p = TransformParams(np.eye(3), [1e6, -1e6, 0.0], [1e6, 0.0, 3e5], 2.0, 1e9)
+        rep = transform_residual(p, solve_symmetric(p), sample_points(3, 100, seed=31))
+        assert rep.max_abs > 1e-9  # the absolute gate would fail this exact solution
+        assert rep.max_rel <= 1e-12
 
 
 class TestEnvelopes:

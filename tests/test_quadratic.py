@@ -42,6 +42,64 @@ class TestEval:
             energy(2)(np.array([1.0]))
 
 
+EPS = np.finfo(float).eps
+
+
+def _term_scale(q, xs):
+    """1 + the sum of the absolute terms of q at each row: the size of the
+    rounding error any evaluation order can make."""
+    quad = 0.5 * np.einsum("ij,ij->i", np.abs(xs) @ np.abs(q.A), np.abs(xs))
+    return 1.0 + quad + np.abs(xs) @ np.abs(q.b) + abs(q.gamma)
+
+
+class TestValues:
+    # values sums in another order than __call__, so the two agree to
+    # rounding, not bitwise.  On positive definite quadratics (the solutions
+    # and envelopes the residual checks evaluate) the gap stays within
+    # 64 ulps of 1 + |value| (34 measured at dims 1-40); on indefinite ones,
+    # where the terms cancel, within 2 dim ulps of the term scale.
+    def test_agrees_with_call_positive_definite(self, rng):
+        for d in range(1, 41):
+            q = QuadraticFn(random_pd_matrix(rng, d), rng.uniform(-3, 3, d), rng.uniform(-3, 3))
+            xs = rng.uniform(-3.0, 3.0, (25, d))
+            ref = np.array([q(x) for x in xs])
+            got = q.values(xs)
+            assert got.shape == (25,)
+            assert np.all(np.abs(got - ref) <= 64 * EPS * (1.0 + np.abs(ref)))
+
+    def test_agrees_with_call_indefinite(self, rng):
+        for d in range(1, 41):
+            a = rng.standard_normal((d, d))
+            q = QuadraticFn(5.0 * (a + a.T), rng.uniform(-3, 3, d), rng.uniform(-3, 3))
+            xs = rng.uniform(-3.0, 3.0, (25, d))
+            ref = np.array([q(x) for x in xs])
+            assert np.all(np.abs(q.values(xs) - ref) <= 2 * d * EPS * _term_scale(q, xs))
+
+    def test_examples(self):
+        q = energy(2)
+        np.testing.assert_array_equal(q.values([[3.0, 4.0], [0.0, 0.0]]), [12.5, 0.0])
+        const = QuadraticFn(np.zeros((2, 2)), np.zeros(2), 7.0)
+        np.testing.assert_array_equal(const.values([[5.0, -2.0]]), [7.0])
+        assert q.values(np.zeros((0, 2))).shape == (0,)
+
+    def test_rejects_what_call_rejects(self):
+        q = energy(2)
+        with pytest.raises(DimMismatch):
+            q.values(np.array([1.0, 2.0]))  # one point, not a (K, 2) array
+        with pytest.raises(DimMismatch):
+            q.values(np.ones((3, 3)))
+        with pytest.raises(DimMismatch):
+            q(np.ones(3))
+        for bad in (np.nan, np.inf, -np.inf):
+            xs = np.zeros((3, 2))
+            xs[1, 0] = bad
+            with pytest.raises(ValueError) as batched:
+                q.values(xs)
+            with pytest.raises(ValueError) as single:
+                q(xs[1])
+            assert batched.type is single.type is ValueError
+
+
 class TestConjugate:
     def test_energy_is_self_conjugate(self):
         q = energy(3)
