@@ -29,9 +29,6 @@ from .linalg import (
     definiteness,
     eigendecompose,
     invert,
-    matrix_abs,
-    matrix_sign,
-    matrix_sqrt,
     solve_min_norm,
 )
 from .quadratic import (

@@ -318,6 +318,10 @@ def functional_eq_residual(
     All three are exact consequences of the fixed-point equation; the
     closed-form solutions drive every one of them to roundoff.
     """
+    if variant not in ("Tsquared", "General", "SelfAdjoint"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if variant == "SelfAdjoint" and not linalg.is_symmetric(p.E, tol):
+        raise NotSymmetric("SelfAdjoint variant requires symmetric E")
     pts = _rows(p, points)
     e_inv = linalg.invert(p.E, tol)
     tau, c, w, beta = p.tau, p.c, p.w, p.beta
@@ -328,19 +332,12 @@ def functional_eq_residual(
         const = tau * float(w @ e_inv_c) - tau * float(e_inv_c @ c) + beta * (1.0 - tau)
         inner = (pts @ p.E.T + c - w) @ back.T
         residuals = _values(f, pts) - (tau**2 * _values(f, inner) + pts @ lin + const)
-    elif variant in ("General", "SelfAdjoint"):
-        if variant == "SelfAdjoint":
-            if not linalg.is_symmetric(p.E, tol):
-                raise NotSymmetric("SelfAdjoint variant requires symmetric E")
-            fwd = tau * np.eye(p.dim)
-        else:
-            fwd = tau * (e_inv @ p.E.T)
+    else:
+        fwd = tau * np.eye(p.dim) if variant == "SelfAdjoint" else tau * (e_inv @ p.E.T)
         y = pts @ fwd.T + (e_inv @ w - e_inv_c)
         residuals = _values(f, y) - (
             tau**2 * _values(f, pts) + y @ w - tau**2 * (pts @ c) + beta * (1.0 - tau)
         )
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
     return report_from_residuals(residuals, pts)
 
 
@@ -408,7 +405,7 @@ def g_scaling_residual(
     spec = p.spectrum
     if not spec.psd(tol):
         raise NotPSD("the scaling law requires positive semidefinite E")
-    e_inv = spec.apply(lambda d: 1.0 / d)
+    e_inv = spec.inverse(tol)
     shift = e_inv @ p.w - e_inv @ p.c
     pts = _rows(p, points)
     y = p.tau * pts + shift

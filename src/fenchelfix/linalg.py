@@ -1,13 +1,16 @@
-"""Dense symmetric spectral decomposition and matrix functions.
+"""Dense linear algebra on LAPACK through numpy, with no Python loops.
 
 The eigendecomposition is LAPACK's symmetric solver (``numpy.linalg.eigh``)
 normalised to descending eigenvalues and sign-fixed eigenvectors, so
-identical input gives identical bytes on the same numpy/BLAS build.
-Everything downstream (abs, sign, sqrt, pseudo-inverse solves, definiteness)
-is built on it, and a ``Spectral`` carries the eigenvalue predicates the
-case analysis needs.  Matrices are plain ``numpy`` arrays; validation
-helpers enforce the symmetry/finiteness contracts at the entry points.  A
-LAPACK failure surfaces as ``NumericalFailure``.
+identical input gives identical bytes on the same numpy/BLAS build.  A
+``Spectral`` carries the eigenvalue predicates the case analysis needs and
+applies functions of the eigenvalues (``apply``), which is how the package
+forms |E|, sign(E), inverses and pseudo-inverse solves of symmetric
+matrices.  A general matrix is inverted from one SVD (``invert``).  There
+is one singularity rule: the smallest |eigenvalue| or singular value is at
+most ``sing_rel * max(1, largest)``.  Matrices are plain ``numpy`` arrays;
+validation helpers enforce the symmetry/finiteness contracts at the entry
+points.  A LAPACK failure surfaces as ``NumericalFailure``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DimMismatch, NotPSD, NotSymmetric, NumericalFailure, Singular
+from .errors import DimMismatch, NotSymmetric, NumericalFailure, Singular
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -74,7 +77,7 @@ class Spectral(NamedTuple):
 
     def singular(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         """Some |eigenvalue| is at most ``sing_rel * max(1, max|eigenvalue|)``."""
-        return float(np.min(np.abs(self.eigenvalues))) <= _eig_cutoff(self.eigenvalues, tol)
+        return float(np.min(np.abs(self.eigenvalues))) <= _cutoff(self.eigenvalues, tol)
 
     def positive_definite(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         return float(np.min(self.eigenvalues)) > tol.pd
@@ -140,54 +143,22 @@ def definiteness(m, tol: Tolerances = DEFAULT_TOL) -> Definiteness:
     return eigendecompose(m, tol).definiteness(tol)
 
 
-def _eig_cutoff(d: np.ndarray, tol: Tolerances) -> float:
+def _cutoff(d: np.ndarray, tol: Tolerances) -> float:
+    """The singularity cutoff for |eigenvalues| or singular values ``d``."""
     return tol.sing_rel * max(1.0, float(np.max(np.abs(d))) if d.size else 1.0)
 
 
-def matrix_abs(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Spectral absolute value U |diag(d)| U^T of a symmetric matrix."""
-    return eigendecompose(m, tol).apply(np.abs)
-
-
-def matrix_sign(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Spectral sign U sign(diag(d)) U^T of a symmetric invertible matrix."""
-    spec = eigendecompose(m, tol)
-    if spec.singular(tol):
-        raise Singular("matrix_sign requires an invertible matrix")
-    return spec.apply(np.sign)
-
-
-def matrix_sqrt(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Spectral square root of a positive semidefinite symmetric matrix."""
-    spec = eigendecompose(m, tol)
-    scale = max(1.0, float(np.max(np.abs(spec.eigenvalues))))
-    if float(np.min(spec.eigenvalues)) < -tol.psd * scale:
-        raise NotPSD("matrix_sqrt requires a positive semidefinite matrix")
-    return spec.apply(lambda d: np.sqrt(np.clip(d, 0.0, None)))
-
-
 def invert(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Invert a general square matrix by Gauss-Jordan with partial pivoting."""
-    a = as_matrix(m).copy()
-    n = a.shape[0]
-    inv = np.eye(n)
-    pivot_floor = 1e-12 * max(1.0, float(np.max(np.abs(a))))
-    for col in range(n):
-        p = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[p, col]) <= pivot_floor:
-            raise Singular("matrix is singular within tolerance")
-        if p != col:
-            a[[col, p]] = a[[p, col]]
-            inv[[col, p]] = inv[[p, col]]
-        piv = a[col, col]
-        a[col] /= piv
-        inv[col] /= piv
-        for r in range(n):
-            if r != col and a[r, col] != 0.0:
-                f = a[r, col]
-                a[r] -= f * a[col]
-                inv[r] -= f * inv[col]
-    return inv
+    """Inverse of a general square matrix from one LAPACK SVD, M = U S V^T.
+
+    Singular when the smallest singular value is at most
+    ``sing_rel * max(1, largest)``: the rule ``Spectral.singular`` applies
+    to |eigenvalues|, which are the singular values of a symmetric matrix.
+    """
+    u, s, vt = _lapack(np.linalg.svd, as_matrix(m))
+    if float(s[-1]) <= _cutoff(s, tol):
+        raise Singular("matrix is singular within tolerance")
+    return (vt.T / s) @ u.T
 
 
 def solve_min_norm(
@@ -206,7 +177,7 @@ def solve_min_norm(
     if spec is None and is_symmetric(a, tol):
         spec = eigendecompose(a, tol)
     if spec is not None:
-        cutoff = _eig_cutoff(spec.eigenvalues, tol)
+        cutoff = _cutoff(spec.eigenvalues, tol)
         coeffs = spec.vectors.T @ b
         inv_d = np.where(np.abs(spec.eigenvalues) > cutoff, spec.eigenvalues, np.inf)
         x = spec.vectors @ (coeffs / inv_d)

@@ -1,7 +1,11 @@
 """Centralized numerical tolerances.
 
-Every threshold used by the package lives in one record so that tests
-and the CLI can tighten or loosen them uniformly (``--tol-scale``).
+The thresholds of the linear-algebra predicates and the case analysis
+(symmetry, singularity, definiteness, consistency, parameter matching)
+live in one record so that tests and the CLI can tighten or loosen them
+uniformly (``--tol-scale``).  Fixed constants outside it: the demos' pass
+gates, the grid-node snap of ``fenchel_young_check``, the ``det(B) = 1``
+check of ``skew_solution`` and the eigenvector sign-fix threshold.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from dataclasses import dataclass, replace
 class Tolerances:
     #: relative symmetry slack: |M_ij - M_ji| <= sym * max(1, max|M|)
     sym: float = 1e-9
-    #: singularity cutoff for eigenvalues, relative to max|eigenvalue|
+    #: singularity cutoff: a matrix is singular when its smallest |eigenvalue|
+    #: (symmetric) or singular value (general) is <= sing_rel * max(1, largest)
     sing_rel: float = 1e-10
     #: eigenvalue threshold separating definite from semidefinite
     pd: float = 1e-10

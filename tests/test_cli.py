@@ -55,6 +55,15 @@ class TestClassifyCommand:
         )
         assert run(tmp_path, "classify", "--config", cfg, "--out", str(tmp_path / "r.json")) == 3
 
+    def test_tol_scale_moves_the_singularity_cutoff(self, tmp_path, capsys):
+        # singular values about 1.118 and 8.9e-12: under the default cutoff
+        # 1e-10 * 1.118 the non-symmetric E is singular, under 1e-12 * 1.118 not
+        cfg = write_config(tmp_path, "cfg.json", identity_config(e=[[1.0, 0.5], [0.0, 1e-11]]))
+        out = str(tmp_path / "r.json")
+        assert run(tmp_path, "classify", "--config", cfg, "--out", out) == 2
+        assert "singular" in capsys.readouterr().err
+        assert run(tmp_path, "classify", "--config", cfg, "--out", out, "--tol-scale", "0.01") == 3
+
     def test_bad_json_exit_two(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

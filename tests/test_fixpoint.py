@@ -37,7 +37,15 @@ from fenchelfix import (
     verify_form_quadratic,
     x0_point,
 )
+from fenchelfix import linalg
 from fenchelfix.reports import report_from_residuals
+
+
+def forbid_invert(monkeypatch):
+    def invert(*args, **kwargs):
+        raise AssertionError("linalg.invert must not be called")
+
+    monkeypatch.setattr(linalg, "invert", invert)
 
 
 def identity_params(n=2, tau=1.0, beta=0.0):
@@ -272,6 +280,24 @@ class TestResiduals:
         assert rep.max_abs == pytest.approx(1.0, abs=1e-12)
         assert rep.mean_abs == pytest.approx(1.0, abs=1e-12)
 
+    def test_functional_eq_rejects_unknown_variant_before_inverting(self, monkeypatch):
+        p = TransformParams(np.diag([1.0, 0.0]), np.zeros(2), np.zeros(2), 2.0, 0.0)
+        pts = sample_points(2, 10, seed=8)
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            functional_eq_residual(p, energy(2), "bogus", pts)
+        forbid_invert(monkeypatch)
+        with pytest.raises(ValueError, match="unknown variant"):
+            functional_eq_residual(identity_params(), energy(2), "bogus", pts)
+
+    def test_functional_eq_self_adjoint_rejects_asymmetric_before_inverting(self, monkeypatch):
+        p = TransformParams([[1.0, 1.0], [0.0, 0.0]], np.zeros(2), np.zeros(2), 2.0, 0.0)
+        pts = sample_points(2, 10, seed=8)
+        with pytest.raises(NotSymmetric):
+            functional_eq_residual(p, energy(2), "SelfAdjoint", pts)
+        forbid_invert(monkeypatch)
+        with pytest.raises(NotSymmetric):
+            functional_eq_residual(quarter_turn_params(), energy(2), "SelfAdjoint", pts)
+
     def test_shift_equation(self):
         pts = np.linspace(-2.0, 2.0, 9)
         rep = shift_equation_residual(lambda x: 0.5 * x * x, 1.0, [0.0])
@@ -503,6 +529,12 @@ class TestScalingLaw:
     def test_rotation_rejected(self):
         with pytest.raises(NotPSD):
             g_scaling_residual(quarter_turn_params(), energy(2), energy(2), np.zeros((1, 2)))
+
+    def test_singular_psd_rejected(self):
+        # E = diag(1, 0) is PSD but not invertible: E^{-1} w has no meaning
+        p = TransformParams(np.diag([1.0, 0.0]), [0.3, 0.0], [0.1, -0.2], 2.0, 0.0)
+        with pytest.raises(Singular):
+            g_scaling_residual(p, energy(2), energy(2), sample_points(2, 10, seed=13))
 
     def test_constant_offset_law(self, rng):
         # adding kappa to a solution leaves a constant difference, whose

@@ -3,17 +3,16 @@ import pytest
 
 from conftest import random_orthogonal, random_pd_matrix, symmetric_from_eigs
 from fenchelfix import (
+    DEFAULT_TOL,
     Definiteness,
-    NotPSD,
     NotSymmetric,
     NumericalFailure,
     Singular,
+    TransformParams,
     definiteness,
     eigendecompose,
     invert,
-    matrix_abs,
-    matrix_sign,
-    matrix_sqrt,
+    self_adjoint_system,
     solve_min_norm,
 )
 
@@ -174,58 +173,88 @@ class TestGradedAccuracy:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def abs_and_sign(e, tau=1.0):
+    """(sqrt(tau)|E|, sqrt(tau) sign(E)) as the self-adjoint construction
+    builds them: its A and its M - I."""
+    e = np.asarray(e, dtype=float)
+    n = e.shape[0]
+    a, m, _ = self_adjoint_system(TransformParams(e, np.zeros(n), np.zeros(n), tau, 0.0))
+    return a, m - np.eye(n)
+
+
 class TestMatrixFunctions:
+    """The spectral absolute value and sign of a symmetric invertible E, read
+    off ``self_adjoint_system``: A = sqrt(tau)|E| and M - I = sqrt(tau) sign(E)."""
+
     def test_abs_diagonal(self):
-        np.testing.assert_allclose(matrix_abs(np.diag([2.0, -3.0])), np.diag([2.0, 3.0]), atol=1e-12)
+        a, _ = abs_and_sign(np.diag([2.0, -3.0]))
+        np.testing.assert_allclose(a, np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_abs_identity(self):
-        np.testing.assert_allclose(matrix_abs(np.eye(2)), np.eye(2), atol=1e-12)
+        a, _ = abs_and_sign(np.eye(2))
+        np.testing.assert_allclose(a, np.eye(2), atol=1e-12)
 
     def test_abs_swap(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        a = matrix_abs(m)
+        a, _ = abs_and_sign(m)
         np.testing.assert_allclose(a, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(a @ a, m @ m, atol=1e-12)
 
     def test_sign_diagonal(self):
-        np.testing.assert_allclose(matrix_sign(np.diag([2.0, -3.0])), np.diag([1.0, -1.0]), atol=1e-12)
+        _, s = abs_and_sign(np.diag([2.0, -3.0]))
+        np.testing.assert_allclose(s, np.diag([1.0, -1.0]), atol=1e-12)
 
     def test_sign_identity(self):
-        np.testing.assert_allclose(matrix_sign(np.eye(2)), np.eye(2), atol=1e-12)
+        _, s = abs_and_sign(np.eye(2))
+        np.testing.assert_allclose(s, np.eye(2), atol=1e-12)
 
     def test_sign_swap_and_polar_recovery(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        s = matrix_sign(m)
+        a, s = abs_and_sign(m)
         np.testing.assert_allclose(s, m, atol=1e-12)
-        np.testing.assert_allclose(s @ matrix_abs(m), m, atol=1e-12)
+        np.testing.assert_allclose(s @ a, m, atol=1e-12)
 
     def test_sign_times_abs_and_involution(self, rng):
+        # polar identity sign(E)|E| = E and involution sign(E)^2 = I, scaled:
+        # (M - I) A = tau E and (M - I)^2 = tau I
         for _ in range(25):
             n = int(rng.integers(1, 7))
             eigs = rng.uniform(0.3, 3.0, n) * rng.choice([-1.0, 1.0], n)
             m = symmetric_from_eigs(rng, eigs)
-            s = matrix_sign(m)
-            assert np.max(np.abs(s @ matrix_abs(m) - m)) <= 1e-10
-            assert np.max(np.abs(s @ s - np.eye(n))) <= 1e-10
+            tau = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
+            a, s = abs_and_sign(m, tau)
+            assert np.max(np.abs(s @ a - tau * m)) <= 1e-10 * tau
+            assert np.max(np.abs(s @ s - tau * np.eye(n))) <= 1e-10 * tau
 
     def test_sign_singular_raises(self):
         with pytest.raises(Singular):
-            matrix_sign(np.diag([1.0, 0.0]))
+            abs_and_sign(np.diag([1.0, 0.0]))
 
     def test_sqrt_diagonal(self):
-        np.testing.assert_allclose(matrix_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
+        # A is the positive semidefinite square root of tau E^2
+        a, _ = abs_and_sign(np.diag([2.0, -3.0]), tau=4.0)
+        np.testing.assert_allclose(a, np.diag([4.0, 6.0]), atol=1e-12)
 
     def test_sqrt_identity(self):
-        np.testing.assert_allclose(matrix_sqrt(np.eye(3)), np.eye(3), atol=1e-12)
+        a, _ = abs_and_sign(-np.eye(3))
+        np.testing.assert_allclose(a, np.eye(3), atol=1e-12)
 
     def test_sqrt_coupled(self):
-        m = np.array([[2.0, 1.0], [1.0, 2.0]])
-        r = matrix_sqrt(m)
-        assert np.max(np.abs(r @ r - m)) <= 1e-10
+        m = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+        a, _ = abs_and_sign(m, tau=2.0)
+        assert np.max(np.abs(a @ a - 2.0 * m @ m)) <= 1e-10
+        assert np.min(np.linalg.eigvalsh(a)) >= 0.0
 
-    def test_sqrt_rejects_indefinite(self):
-        with pytest.raises(NotPSD):
-            matrix_sqrt(np.diag([1.0, -1.0]))
+
+def with_singular_values(rng, sigma, symmetric):
+    """A random matrix with the given singular values: U diag(sigma) V^T,
+    or U diag(+-sigma) U^T when symmetric."""
+    n = len(sigma)
+    u = random_orthogonal(rng, n)
+    if symmetric:
+        m = (u * (np.asarray(sigma) * rng.choice([-1.0, 1.0], n))) @ u.T
+        return 0.5 * (m + m.T)
+    return (u * np.asarray(sigma)) @ random_orthogonal(rng, n).T
 
 
 class TestInvert:
@@ -250,6 +279,53 @@ class TestInvert:
     def test_singular_raises(self):
         with pytest.raises(Singular):
             invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+    def test_agrees_with_numpy_inv(self, rng):
+        # both are backward stable, so they differ by at most about
+        # cond(M) n eps relative to max|M^{-1}| (measured: under 0.21 of that)
+        eps = np.finfo(float).eps
+        for n in range(1, 65):
+            m = rng.standard_normal((n, n))
+            want = np.linalg.inv(m)
+            gap = np.max(np.abs(invert(m) - want)) / np.max(np.abs(want))
+            assert gap <= np.linalg.cond(m) * n * eps
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_singular_value_ratio_criterion(self, rng, symmetric, scale):
+        # singular when sigma_min <= sing_rel * max(1, sigma_max), sing_rel = 1e-10
+        for n in (2, 5, 12):
+            for ratio, singular in ((1e-9, False), (1e-11, True)):
+                sigma = scale * np.logspace(0.0, np.log10(ratio), n)
+                m = with_singular_values(rng, sigma, symmetric)
+                if singular:
+                    with pytest.raises(Singular):
+                        invert(m)
+                else:
+                    assert np.all(np.isfinite(invert(m)))
+
+    def test_tol_scale_moves_the_cutoff(self, rng):
+        m = with_singular_values(rng, np.logspace(0.0, -11.0, 4), symmetric=False)
+        with pytest.raises(Singular):
+            invert(m)
+        assert np.all(np.isfinite(invert(m, DEFAULT_TOL.scaled(0.01))))
+
+    def test_matches_spectral_singular_on_symmetric(self, rng):
+        outcomes = set()
+        for scale in (1e-3, 1.0, 1e3):
+            for ratio in (1e-3, 1e-9, 1e-11, 0.0):
+                for n in (2, 3, 8):
+                    sigma = scale * np.linspace(1.0, 0.5, n)
+                    sigma[-1] = scale * ratio
+                    m = with_singular_values(rng, sigma, symmetric=True)
+                    singular = eigendecompose(m).singular()
+                    outcomes.add(singular)
+                    if singular:
+                        with pytest.raises(Singular):
+                            invert(m)
+                    else:
+                        invert(m)
+        assert outcomes == {True, False}
 
 
 class TestSolveMinNorm:
