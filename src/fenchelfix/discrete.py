@@ -17,9 +17,12 @@ Accuracy caveats: the discrete conjugate understates the true conjugate at
 slopes outside the range achievable on the grid, so verification grids are
 chosen wide enough that every queried slope is interior.  The bitwise
 agreement also needs ``lower_hull`` to keep every node that can attain the
-maximum; its floating-point orientation test can drop a true vertex of data
-that is convex only by about one rounding error, and there the hull routes
-can fall short of the oracle in the last bits.
+maximum, and it does: its vertex set is exact.  Its orientation predicate
+keeps the floating-point sign where Shewchuk's error bound certifies it,
+settles the rest exactly by error-free transformations (TwoSum differences,
+Dekker products) when the differences are exact, and decides what remains
+with ``fractions.Fraction``.  Data convex only by about one rounding error
+keeps all of its vertices.
 """
 
 from __future__ import annotations
@@ -156,24 +159,222 @@ def brute_conjugate(f: SampledFn, slopes) -> SampledFn:
     return SampledFn(s, _frozen(out))
 
 
+# ---------------------------------------------------------------------------
+# The exact orientation predicate and the lower hull
+
+_EPS = 2.0**-53  # unit roundoff
+_CCW_BOUND = (3.0 + 16.0 * _EPS) * _EPS  # Shewchuk's orient2d error bound
+_TINY = 2.0**-900  # products below this may have lost bits to underflow
+_HUGE = 2.0**995  # Dekker's split of anything larger can overflow
+_SPLITTER = 2.0**27 + 1.0
+_CHUNK = 1 << 15  # predicate elements per pass over the arrays
+_PROBES = 1024  # predicate elements per search step, shared by its rows
+
+
+def _two_sum(a, b):
+    """a + b = s + e exactly (Knuth's TwoSum)."""
+    s = a + b
+    bv = s - a
+    av = s - bv
+    return s, (a - av) + (b - bv)
+
+
+def _product_tail(a, b, p):
+    """a * b - p exactly, for p = fl(a * b) (Dekker's split)."""
+    c = _SPLITTER * a
+    ahi = c - (c - a)
+    alo = a - ahi
+    c = _SPLITTER * b
+    bhi = c - (c - b)
+    blo = b - bhi
+    return alo * blo - (((p - ahi * bhi) - alo * bhi) - ahi * blo)
+
+
+def _on_or_above_exact(xj, vj, xm, vm, xk, vk) -> np.ndarray:
+    """The predicate of ``_on_or_above`` in rational arithmetic."""
+    from fractions import Fraction
+
+    out = np.empty(len(xj), dtype=bool)
+    rows = zip(xj.tolist(), vj.tolist(), xm.tolist(), vm.tolist(), xk.tolist(), vk.tolist())
+    for i, row in enumerate(rows):
+        a, b, c, d, e, f = map(Fraction, row)
+        out[i] = (c - a) * (f - b) <= (e - a) * (d - b)
+    return out
+
+
+def _on_or_above_chunk(xj, vj, xm, vm, xk, vk) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        dxm = xm - xj
+        dxk = xk - xj
+        dvm = vm - vj
+        dvk = vk - vj
+        left = dxm * dvk
+        right = dxk * dvm
+        det = left - right
+        out = det <= 0.0
+        al = np.abs(left)
+        ar = np.abs(right)
+        sure = np.abs(det) > _CCW_BOUND * (al + ar)
+        sure &= np.minimum(al, ar) >= _TINY
+        if sure.all():
+            return out
+        u = np.flatnonzero(~sure)
+        # rows dxm, dxk, dvk, dvm: left = dxm dvk and right = dxk dvm
+        d, tail = _two_sum(
+            np.stack((xm[u], xk[u], vk[u], vm[u])), -np.stack((xj[u], xj[u], vj[u], vj[u]))
+        )
+        a, b = d[:2], d[2:]
+        p = a * b
+        # a zero difference is exact and makes its product exactly zero
+        zero = (a == 0.0) | (b == 0.0)
+        ap = np.abs(p)
+        split = (tail[:2] == 0.0) & (tail[2:] == 0.0) & (np.maximum(np.abs(a), np.abs(b)) < _HUGE)
+        split &= (ap >= _TINY) & (ap < _HUGE)
+        hi = np.where(zero, 0.0, p)
+        lo = np.where(split, _product_tail(a, b, p), 0.0)
+        # (hi0 + lo0) - (hi1 + lo1) as a nonoverlapping expansion x3, x2, x1,
+        # x0 (Shewchuk's Two_Two_Diff); its sign is that of its largest nonzero term
+        i, x0 = _two_sum(lo[0], -lo[1])
+        j, x = _two_sum(hi[0], i)
+        i, x1 = _two_sum(x, -hi[1])
+        x3, x2 = _two_sum(j, i)
+        lead = np.where(x1 != 0.0, x1, x0)
+        lead = np.where(x2 != 0.0, x2, lead)
+        sub = np.where(x3 != 0.0, x3, lead) <= 0.0
+        rest = np.flatnonzero(~(zero | split).all(axis=0))
+        if rest.size:
+            r = u[rest]
+            sub[rest] = _on_or_above_exact(xj[r], vj[r], xm[r], vm[r], xk[r], vk[r])
+        out[u] = sub
+    return out
+
+
+def _on_or_above(xj, vj, xm, vm, xk, vk) -> np.ndarray:
+    """Whether each point (xm, vm) lies on or above the chord from (xj, vj)
+    to (xk, vk), for xj < xm < xk, decided exactly.
+
+    The float sign of ``(xm-xj)(vk-vj) - (xk-xj)(vm-vj)`` is kept where
+    Shewchuk's bound ``(3 + 16 eps) eps (|left| + |right|)`` certifies it and
+    no product is small enough to have underflowed.  The rest are exact when
+    the four differences are (their TwoSum tails vanish, as for integer and
+    most nearby data): each product is then a rounded value plus its Dekker
+    tail, and the sign of that four-term sum is exact.  What remains —
+    inexact differences, overflow, possible underflow — is decided with
+    ``fractions.Fraction``.  Works through the arrays in ``_CHUNK`` slices.
+    """
+    out = np.empty(xj.size, dtype=bool)
+    for s in range(0, xj.size, _CHUNK):
+        e = s + _CHUNK
+        out[s:e] = _on_or_above_chunk(xj[s:e], vj[s:e], xm[s:e], vm[s:e], xk[s:e], vk[s:e])
+    return out
+
+
+def _tangent(cx, cv, lo, hi, q, left: bool) -> np.ndarray:
+    """Tangent points from the nodes ``q`` to convex runs of the chain
+    (cx, cv), one per row, by a search batched over the rows.
+
+    The tangent point is the run's node joined to q on the lower hull of the
+    run and q.  ``left``: the run [lo, hi + 1] lies left of q; return the
+    first p in [lo, hi] whose successor is on or above the chord p-q, or hi.
+    Otherwise the run [lo - 1, hi] lies right of q; return the first r in
+    [lo, hi] strictly below the chord from q to its successor, or hi.  Nodes
+    collinear with the tangent are thus passed over.  Each step spreads up
+    to ``_PROBES`` probes over the rows in one predicate call; a row
+    narrower than its share of probes is settled in that step.
+    """
+    lo = lo.copy()
+    hi = hi.copy()
+    act = np.flatnonzero(lo < hi)
+    while act.size:
+        a = lo[act]
+        b = hi[act]
+        w = b - a
+        k = int(min(w.max(), max(1, _PROBES // act.size)))
+        probe = a[:, None] + (w[:, None] * np.arange(1, k + 1)) // (k + 1)  # in [a, b - 1]
+        p = probe.ravel()
+        p1 = p + 1
+        qq = np.repeat(q[act], k)
+        if left:
+            hit = _on_or_above(cx[p], cv[p], cx[p1], cv[p1], cx[qq], cv[qq])
+        else:
+            hit = ~_on_or_above(cx[qq], cv[qq], cx[p], cv[p], cx[p1], cv[p1])
+        # the answer lies after the probes that miss and at or before the rest
+        below = k - np.count_nonzero(hit.reshape(-1, k), axis=1)
+        bounds = np.concatenate((a[:, None] - 1, probe, b[:, None]), axis=1)
+        rows = np.arange(act.size)
+        lo[act] = bounds[rows, below] + 1
+        hi[act] = bounds[rows, below + 1]
+        act = act[lo[act] < hi[act]]
+    return lo
+
+
+def _bridges(cx, cv, start, end, prev, nxt):
+    """Lower common tangents (l, r) across every run of junctions
+    [start, end]: l on the convex chain [prev, start], r on [end, nxt].
+
+    Alternates tangent searches from each side until the bridge stops
+    moving; l only moves left and r only right, which bounds each search.
+    """
+    r = end + 1
+    l = _tangent(cx, cv, prev, start - 1, r, True)
+    act = np.arange(start.size)
+    left = False
+    while act.size:
+        if left:
+            new = _tangent(cx, cv, prev[act], l[act], r[act], True)
+            moved = new != l[act]
+            l[act] = new
+        else:
+            new = _tangent(cx, cv, r[act], nxt[act], l[act], False)
+            moved = new != r[act]
+            r[act] = new
+        act = act[moved]
+        left = not left
+    return l, r
+
+
 def lower_hull(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Indices of the lower convex hull vertices of the points (xs, vs).
 
-    xs must be strictly increasing.  Collinear interior points are dropped
-    (the smaller abscissa survives), which keeps the vertex choice — and so
-    the conjugate — deterministic.
+    xs must be strictly increasing.  Collinear interior points are dropped,
+    which keeps the vertex choice — and so the conjugate — deterministic.
+    Every orientation test is exact (``_on_or_above``), so the result is
+    the unique set of strict vertices.
+
+    Works in rounds over a chain that starts as all nodes.  A junction is a
+    node on or above its neighbours' chord; the first round tests every
+    node, later rounds only the nodes whose neighbours changed.  Each run of
+    adjacent junctions is bridged by the lower common tangent of the convex
+    chains on either side, all runs at once, and every node strictly between
+    a bridge's ends is removed.  Such a node lies on or above a chord of two
+    other nodes, so it is never a vertex; when no junction is left, the
+    chain is strictly convex and is the hull.
     """
-    keep: list[int] = []
-    for i in range(xs.size):
-        while len(keep) >= 2:
-            j, k = keep[-2], keep[-1]
-            cross = (xs[k] - xs[j]) * (vs[i] - vs[j]) - (xs[i] - xs[j]) * (vs[k] - vs[j])
-            if cross <= 0.0:
-                keep.pop()
-            else:
-                break
-        keep.append(i)
-    return np.asarray(keep, dtype=int)
+    chain = np.arange(xs.size)
+    cand = None
+    while chain.size > 2:
+        n = chain.size
+        cx = xs[chain]
+        cv = vs[chain]
+        if cand is None:
+            hit = _on_or_above(cx[:-2], cv[:-2], cx[1:-1], cv[1:-1], cx[2:], cv[2:])
+            junctions = np.flatnonzero(hit) + 1
+        else:
+            a, b = cand - 1, cand + 1
+            hit = _on_or_above(cx[a], cv[a], cx[cand], cv[cand], cx[b], cv[b])
+            junctions = cand[hit]
+        if junctions.size == 0:
+            break
+        gap = np.diff(junctions) > 1
+        start = junctions[np.concatenate(([True], gap))]
+        end = junctions[np.concatenate((gap, [True]))]
+        prev = np.concatenate(([0], end[:-1]))
+        l, r = _bridges(cx, cv, start, end, prev, np.concatenate((start[1:], [n - 1])))
+        keep = np.cumsum(np.bincount(l + 1, minlength=n) - np.bincount(r, minlength=n)) == 0
+        seam = keep[1:-1] & ~(keep[:-2] & keep[2:])
+        cand = np.cumsum(keep)[1:-1][seam] - 1
+        chain = chain[keep]
+    return chain
 
 
 def _conjugate_at(f: SampledFn, s: np.ndarray) -> np.ndarray:

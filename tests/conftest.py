@@ -92,6 +92,34 @@ def hull_counter(monkeypatch):
     return HullCounter(monkeypatch)
 
 
+class CallCounter:
+    """Wraps the private ``discrete.<name>`` and counts its calls."""
+
+    def __init__(self, monkeypatch, name):
+        from fenchelfix import discrete
+
+        self.calls = 0
+        original = getattr(discrete, name)
+
+        def counting(*args):
+            self.calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(discrete, name, counting)
+
+
+@pytest.fixture
+def orient_counter(monkeypatch):
+    """Counts calls of the vectorised orientation predicate."""
+    return CallCounter(monkeypatch, "_on_or_above")
+
+
+@pytest.fixture
+def exact_counter(monkeypatch):
+    """Counts calls of the predicate's rational-arithmetic fallback."""
+    return CallCounter(monkeypatch, "_on_or_above_exact")
+
+
 class EvalCounter:
     """Wraps ``QuadraticFn.__call__`` and counts the per-point evaluations."""
 

@@ -134,6 +134,16 @@ class TestFastConjugate:
             brute = brute_conjugate(f, slopes)
             assert fast.values.tobytes() == brute.values.tobytes()
 
+    def test_near_collinear_draws_match_the_oracle_bitwise(self):
+        # data convex only by about one rounding error: a floating-point
+        # orientation test drops true hull vertices of 3 of these draws
+        rng = np.random.default_rng(1)
+        for _ in range(2000):
+            f, slopes = stress_sampled(rng, "near_collinear")
+            fast = fast_conjugate(f, slopes)
+            brute = brute_conjugate(f, slopes)
+            assert fast.values.tobytes() == brute.values.tobytes()
+
     def test_zero_maximum_is_positive_zero(self):
         # at slopes +-0.5 the maximum 0 is attained at x = 0 and x = +-1; the
         # node x = 0 evaluates to -0.0 at slope -0.5
