@@ -11,7 +11,9 @@ must agree with the oracle bit for bit; both return +0.0 for a zero maximum.
 ``biconjugate`` interpolates over the same hull.
 
 A ``SampledFn`` owns read-only arrays: a writeable input is copied, an
-array that is already read-only is shared.
+array that is already read-only is shared.  ``sample`` evaluates a
+``SignFlipSolution`` in one array pass and calls any other callable once
+per node.
 
 Accuracy caveats: the discrete conjugate understates the true conjugate at
 slopes outside the range achievable on the grid, so verification grids are
@@ -27,7 +29,6 @@ keeps all of its vertices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
@@ -132,8 +133,14 @@ class SampledFn2D:
 
 
 def sample(fn: Callable[[float], float], points) -> SampledFn:
-    """Sample a scalar function on a grid (it may return +inf)."""
+    """Sample a scalar function on a grid (it may return +inf).
+
+    A ``SignFlipSolution`` is evaluated in one array pass through its
+    ``values``; any other callable is called once per node.
+    """
     p = _check_grid(points)
+    if isinstance(fn, SignFlipSolution):
+        return SampledFn(p, _frozen(fn.values(p)))
     return SampledFn(p, _frozen(np.array([float(fn(x)) for x in p])))
 
 
@@ -485,15 +492,33 @@ class SignFlipSolution:
             raise ValueError(f"{self.kind} takes no lam parameter")
 
     def __call__(self, x: float) -> float:
-        t = -float(x) if self.reflected else float(x)
-        if self.kind == "half_square":
-            return 0.5 * t * t
-        if self.kind == "neg_log":
-            return -0.5 - math.log(t) if t > 0.0 else INF
-        if self.kind == "ray_indicator":
-            return 0.0 if t >= 0.0 else INF
-        lam = self.lam
-        return 0.5 * lam * t * t if t <= 0.0 else t * t / (2.0 * lam)
+        return float(self.values(np.array([float(x)]))[0])
+
+    def values(self, xs) -> np.ndarray:
+        """Values at the nodes of a 1-D array, in one array pass.
+
+        ``__call__`` evaluates a one-element array here, so a point value
+        and an array value come from the same expressions bit for bit
+        (``np.log`` and ``math.log`` can differ in the last bit).  A square
+        that overflows is +inf, as in Python float arithmetic.
+        """
+        t = np.asarray(xs, dtype=float)
+        if t.ndim != 1:
+            raise DimMismatch("SignFlipSolution.values takes a 1-D array")
+        if self.reflected:
+            t = -t
+        with np.errstate(over="ignore"):
+            if self.kind == "half_square":
+                return 0.5 * t * t
+            if self.kind == "neg_log":
+                out = np.full(t.shape, INF)
+                pos = t > 0.0
+                out[pos] = -0.5 - np.log(t[pos])
+                return out
+            if self.kind == "ray_indicator":
+                return np.where(t >= 0.0, 0.0, INF)
+            lam = self.lam
+            return np.where(t <= 0.0, 0.5 * lam * t * t, t * t / (2.0 * lam))
 
     def sample(self, points) -> SampledFn:
         return sample(self, points)

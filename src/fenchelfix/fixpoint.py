@@ -61,6 +61,14 @@ def _symmetric_spectrum(p: TransformParams, tol: Tolerances) -> linalg.Spectral:
     return p.spectrum
 
 
+def _e_inverse(p: TransformParams, tol: Tolerances) -> np.ndarray:
+    """E^{-1}: from the cached spectrum when E is symmetric, as in
+    ``solve_symmetric``, otherwise from one SVD (``linalg.invert``)."""
+    if linalg.is_symmetric(p.E, tol):
+        return p.spectrum.inverse(tol)
+    return linalg.invert(p.E, tol)
+
+
 def solve_positive_definite(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> QuadraticFn:
     """Closed-form strictly convex quadratic solution for positive definite E.
 
@@ -157,7 +165,7 @@ def x0_point(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """The point (1/(1-tau)) E^{-1}(w - c) where C2 regularity is assumed."""
     if abs(p.tau - 1.0) <= tol.param_match:
         raise ValueError("x0 is defined only for tau != 1")
-    e_inv = linalg.invert(p.E, tol)
+    e_inv = _e_inverse(p, tol)
     return (e_inv @ p.w - e_inv @ p.c) / (1.0 - p.tau)
 
 
@@ -189,7 +197,8 @@ def classify(
     """
     eps = tol.param_match
     if not linalg.is_symmetric(p.E, tol):
-        linalg.invert(p.E, tol)  # still insist on invertibility
+        if linalg.is_singular(p.E, tol):
+            raise Singular("matrix is singular within tolerance")
         note = "E is not symmetric; no decision procedure is available"
         if candidate is not None:
             pts = points if points is not None else _default_points(p)
@@ -323,7 +332,7 @@ def functional_eq_residual(
     if variant == "SelfAdjoint" and not linalg.is_symmetric(p.E, tol):
         raise NotSymmetric("SelfAdjoint variant requires symmetric E")
     pts = _rows(p, points)
-    e_inv = linalg.invert(p.E, tol)
+    e_inv = _e_inverse(p, tol)
     tau, c, w, beta = p.tau, p.c, p.w, p.beta
     e_inv_c = e_inv @ c
     if variant == "Tsquared":

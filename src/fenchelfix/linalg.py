@@ -6,11 +6,12 @@ identical input gives identical bytes on the same numpy/BLAS build.  A
 ``Spectral`` carries the eigenvalue predicates the case analysis needs and
 applies functions of the eigenvalues (``apply``), which is how the package
 forms |E|, sign(E), inverses and pseudo-inverse solves of symmetric
-matrices.  A general matrix is inverted from one SVD (``invert``).  There
-is one singularity rule: the smallest |eigenvalue| or singular value is at
-most ``sing_rel * max(1, largest)``.  Matrices are plain ``numpy`` arrays;
-validation helpers enforce the symmetry/finiteness contracts at the entry
-points.  A LAPACK failure surfaces as ``NumericalFailure``.
+matrices.  A general matrix is inverted from one SVD (``invert``), or
+tested for singularity from its singular values alone (``is_singular``).
+There is one singularity rule: the smallest |eigenvalue| or singular value
+is at most ``sing_rel * max(1, largest)``.  Matrices are plain ``numpy``
+arrays; validation helpers enforce the symmetry/finiteness contracts at the
+entry points.  A LAPACK failure surfaces as ``NumericalFailure``.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class Spectral(NamedTuple):
 
     def singular(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         """Some |eigenvalue| is at most ``sing_rel * max(1, max|eigenvalue|)``."""
-        return float(np.min(np.abs(self.eigenvalues))) <= _cutoff(self.eigenvalues, tol)
+        return _below_cutoff(self.eigenvalues, tol)
 
     def positive_definite(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         return float(np.min(self.eigenvalues)) > tol.pd
@@ -148,6 +149,17 @@ def _cutoff(d: np.ndarray, tol: Tolerances) -> float:
     return tol.sing_rel * max(1.0, float(np.max(np.abs(d))) if d.size else 1.0)
 
 
+def _below_cutoff(d: np.ndarray, tol: Tolerances) -> bool:
+    """The one singularity rule: the smallest |d| is at most the cutoff."""
+    return float(np.min(np.abs(d))) <= _cutoff(d, tol)
+
+
+def is_singular(m, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Whether ``invert`` would call M singular, from its singular values
+    alone (no singular vectors, no inverse)."""
+    return _below_cutoff(_lapack(np.linalg.svd, as_matrix(m), compute_uv=False), tol)
+
+
 def invert(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Inverse of a general square matrix from one LAPACK SVD, M = U S V^T.
 
@@ -156,7 +168,7 @@ def invert(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     to |eigenvalues|, which are the singular values of a symmetric matrix.
     """
     u, s, vt = _lapack(np.linalg.svd, as_matrix(m))
-    if float(s[-1]) <= _cutoff(s, tol):
+    if _below_cutoff(s, tol):
         raise Singular("matrix is singular within tolerance")
     return (vt.T / s) @ u.T
 

@@ -93,31 +93,50 @@ def hull_counter(monkeypatch):
 
 
 class CallCounter:
-    """Wraps the private ``discrete.<name>`` and counts its calls."""
+    """Wraps ``owner.<name>`` (a module function or a method) and counts
+    its calls."""
 
-    def __init__(self, monkeypatch, name):
-        from fenchelfix import discrete
-
+    def __init__(self, monkeypatch, owner, name):
         self.calls = 0
-        original = getattr(discrete, name)
+        original = getattr(owner, name)
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             self.calls += 1
-            return original(*args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(discrete, name, counting)
+        monkeypatch.setattr(owner, name, counting)
 
 
 @pytest.fixture
 def orient_counter(monkeypatch):
     """Counts calls of the vectorised orientation predicate."""
-    return CallCounter(monkeypatch, "_on_or_above")
+    from fenchelfix import discrete
+
+    return CallCounter(monkeypatch, discrete, "_on_or_above")
 
 
 @pytest.fixture
 def exact_counter(monkeypatch):
     """Counts calls of the predicate's rational-arithmetic fallback."""
-    return CallCounter(monkeypatch, "_on_or_above_exact")
+    from fenchelfix import discrete
+
+    return CallCounter(monkeypatch, discrete, "_on_or_above_exact")
+
+
+@pytest.fixture
+def flip_call_counter(monkeypatch):
+    """Counts scalar ``SignFlipSolution.__call__`` evaluations."""
+    from fenchelfix import SignFlipSolution
+
+    return CallCounter(monkeypatch, SignFlipSolution, "__call__")
+
+
+@pytest.fixture
+def invert_counter(monkeypatch):
+    """Counts the SVD inverses ``linalg.invert`` forms."""
+    from fenchelfix import linalg
+
+    return CallCounter(monkeypatch, linalg, "invert")
 
 
 class EvalCounter:

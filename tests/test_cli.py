@@ -275,6 +275,12 @@ class TestDemoCommand:
         assert run(tmp_path, "demo", name, "--out", str(out)) == 0
         assert json.loads(out.read_text())["result"]["passed"] is True
 
+    def test_log_demo_reports_are_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(tmp_path, "demo", "log", "--out", str(a)) == 0
+        assert run(tmp_path, "demo", "log", "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_unknown_demo_exit_two(self, tmp_path):
         assert run(tmp_path, "demo", "bogus") == 2
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from fenchelfix import (
     AllInfinite,
+    DimMismatch,
     SampledFn,
     SampledFn2D,
     SignFlipSolution,
@@ -308,6 +310,100 @@ class TestSignFlipFamily:
                 FLIP, mirrored.sample(-grid[::-1]), window=(-5.0, 5.0), boundary_exclusion=excl
             )
             assert rep_m.max_abs <= bound
+
+
+FAMILY = [
+    SignFlipSolution(kind, lam=lam, reflected=reflected)
+    for kind, lam in [
+        ("half_square", None),
+        ("neg_log", None),
+        ("ray_indicator", None),
+        ("split_quadratic", 0.3),
+    ]
+    for reflected in (False, True)
+]
+EDGES = [-1e300, -1e-300, -5e-324, 5e-324, 1e-300, 1e300]
+
+
+def scalar_reference(member, x):
+    """The family's per-node Python float formulas, with math.log."""
+    t = -float(x) if member.reflected else float(x)
+    if member.kind == "half_square":
+        return 0.5 * t * t
+    if member.kind == "neg_log":
+        return -0.5 - math.log(t) if t > 0.0 else math.inf
+    if member.kind == "ray_indicator":
+        return 0.0 if t >= 0.0 else math.inf
+    lam = member.lam
+    return 0.5 * lam * t * t if t <= 0.0 else t * t / (2.0 * lam)
+
+
+def family_grids():
+    rng = np.random.default_rng(8)
+    return {
+        "uniform": uniform_grid(-20.0, 20.0, 4e-3),
+        "random": np.unique(rng.uniform(-20.0, 20.0, 50_000)),
+        "edges_plus_zero": np.array(EDGES[:3] + [0.0] + EDGES[3:]),
+        "edges_minus_zero": np.array(EDGES[:3] + [-0.0] + EDGES[3:]),
+    }
+
+
+class TestArraySampling:
+    @pytest.mark.parametrize("member", FAMILY, ids=repr)
+    @pytest.mark.parametrize("grid", list(family_grids()))
+    def test_sample_matches_the_scalar_call_bitwise(self, member, grid):
+        points = family_grids()[grid]
+        f = sample(member, points)
+        assert f.values.tobytes() == np.array([member(x) for x in points]).tobytes()
+        assert f.values.tobytes() == member.values(points).tobytes()
+
+    @pytest.mark.parametrize("member", FAMILY, ids=repr)
+    def test_array_pass_matches_the_python_float_formulas(self, member):
+        # the same IEEE expressions, so bit for bit, except that np.log may
+        # differ from math.log by one ulp of log t, which moves -1/2 - log t
+        # by at most that ulp plus one rounding: 2 ulp(1/2 + |f|) in all
+        for points in family_grids().values():
+            got = member.values(points)
+            want = np.array([scalar_reference(member, x) for x in points])
+            if member.kind == "neg_log":
+                np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+                fin = np.isfinite(want)
+                gap = np.abs(got[fin] - want[fin])
+                assert np.all(gap <= 2.0 * np.spacing(0.5 + np.abs(want[fin])))
+            else:
+                assert got.tobytes() == want.tobytes()
+
+    def test_values_takes_a_1d_array(self):
+        with pytest.raises(DimMismatch):
+            SignFlipSolution("half_square").values(np.zeros((2, 2)))
+
+    def test_sign_flip_members_make_no_scalar_calls(self, flip_call_counter):
+        grid = uniform_grid(-5.0, 5.0, 0.01)
+        for member in FAMILY:
+            sample(member, grid)
+            member.sample(grid)
+        assert flip_call_counter.calls == 0
+
+    def test_other_callables_are_called_once_per_node(self):
+        grid = uniform_grid(-2.0, 2.0, 0.25)
+        seen = []
+        f = sample(lambda x: seen.append(x) or abs(x), grid)
+        assert seen == list(grid)
+        np.testing.assert_array_equal(f.values, np.abs(grid))
+
+        class ScalarOnly:
+            """Like the benchmark's double well: defined on floats only."""
+
+            def __init__(self):
+                self.calls = 0
+
+            def __call__(self, x):
+                self.calls += 1
+                return 0.25 * (float(x) ** 2 - 1.0) ** 2
+
+        well = ScalarOnly()
+        sample(well, grid)
+        assert well.calls == grid.size
 
 
 class TestSampledFnOwnsItsArrays:

@@ -15,6 +15,7 @@ from fenchelfix import (
     self_adjoint_system,
     solve_min_norm,
 )
+from fenchelfix.linalg import is_singular
 
 
 def eig2x2(m):
@@ -298,6 +299,7 @@ class TestInvert:
             for ratio, singular in ((1e-9, False), (1e-11, True)):
                 sigma = scale * np.logspace(0.0, np.log10(ratio), n)
                 m = with_singular_values(rng, sigma, symmetric)
+                assert is_singular(m) is singular
                 if singular:
                     with pytest.raises(Singular):
                         invert(m)
@@ -308,7 +310,9 @@ class TestInvert:
         m = with_singular_values(rng, np.logspace(0.0, -11.0, 4), symmetric=False)
         with pytest.raises(Singular):
             invert(m)
+        assert is_singular(m)
         assert np.all(np.isfinite(invert(m, DEFAULT_TOL.scaled(0.01))))
+        assert not is_singular(m, DEFAULT_TOL.scaled(0.01))
 
     def test_matches_spectral_singular_on_symmetric(self, rng):
         outcomes = set()
@@ -320,6 +324,7 @@ class TestInvert:
                     m = with_singular_values(rng, sigma, symmetric=True)
                     singular = eigendecompose(m).singular()
                     outcomes.add(singular)
+                    assert is_singular(m) is singular
                     if singular:
                         with pytest.raises(Singular):
                             invert(m)
