@@ -61,7 +61,6 @@ from .fixpoint import (
     solve_lql,
     solve_positive_definite,
     solve_self_adjoint,
-    solve_symmetric,
     transform_residual,
     upper_envelope,
     verify_form_quadratic,

@@ -1,9 +1,14 @@
 """Batch front door: classify / solve / verify / conjugate / demo.
 
-One process per invocation, config in, JSON report out.  Reports are byte
+One process per invocation, config in, JSON report out.  Every command runs
+through one pipeline, ``_run``: load the config (``demo`` has none), parse
+the options and tolerances once, call the command's handler from
+``_COMMANDS``, and write the report shell with the handler's result.  ``solve``
+reports what ``classify``'s case analysis constructs.  Reports are byte
 identical for identical config and seed; wall time goes to stderr so it
 never perturbs the report stream.  Exit codes: 0 determinate outcome,
-2 input error, 3 undetermined classification, 4 internal assertion failure.
+2 input error, 3 undetermined classification, 4 internal failure (a failed
+demo or oracle check included).
 """
 
 from __future__ import annotations
@@ -12,15 +17,16 @@ import argparse
 import json
 import sys
 import time
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import discrete, fixpoint, linalg, serialize
 from .errors import FenchelFixError, NumericalFailure, ParseError, UnknownDemo
-from .fixpoint import Tag
+from .fixpoint import Classification, Tag
 from .quadratic import TransformParams
 from .sampling import sample_points
+from .serialize import _require
 from .tolerances import DEFAULT_TOL, Tolerances
 
 SCHEMA_VERSION = 1
@@ -44,30 +50,40 @@ def _load_config(path: str) -> dict:
     return obj
 
 
+def _window(value) -> Optional[tuple[float, float]]:
+    return None if value is None else (float(value[0]), float(value[1]))
+
+
+# run options: name -> (conversion, default)
+_OPTIONS = {
+    "points": (int, 100),
+    "seed": (int, 0),
+    "tol_scale": (float, 1.0),
+    "radius": (float, 3.0),
+    "window": (_window, None),
+    "boundary_exclusion": (float, 0.0),
+}
+
+
 def _options(config: dict, args) -> dict:
-    opts = dict(config.get("options", {}))
-    if args.points is not None:
-        opts["points"] = args.points
-    if args.seed is not None:
-        opts["seed"] = args.seed
-    if args.tol_scale is not None:
-        opts["tol_scale"] = args.tol_scale
-    opts.setdefault("points", 100)
-    opts.setdefault("seed", 0)
-    opts.setdefault("tol_scale", 1.0)
-    opts.setdefault("radius", 3.0)
+    """The config's ``options``, overridden by the command-line flags and
+    converted to typed values once."""
+    raw = config.get("options", {})
+    if not isinstance(raw, dict):
+        raise ParseError("config 'options' must be an object")
+    flags = {k: getattr(args, k) for k in ("points", "seed", "tol_scale")}
+    raw = {**raw, **{k: v for k, v in flags.items() if v is not None}}
+    opts = {}
+    for key, (convert, default) in _OPTIONS.items():
+        try:
+            opts[key] = convert(raw[key]) if key in raw else default
+        except (LookupError, OverflowError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad option {key!r}: {exc}") from exc
     return opts
 
 
-def _tol(opts: dict) -> Tolerances:
-    scale = float(opts.get("tol_scale", 1.0))
-    return DEFAULT_TOL if scale == 1.0 else DEFAULT_TOL.scaled(scale)
-
-
 def _scan_points(p: TransformParams, opts: dict) -> np.ndarray:
-    return sample_points(
-        p.dim, int(opts["points"]), radius=float(opts["radius"]), seed=int(opts["seed"])
-    )
+    return sample_points(p.dim, opts["points"], radius=opts["radius"], seed=opts["seed"])
 
 
 def _write_report(report: dict, out: Optional[str]) -> None:
@@ -79,22 +95,23 @@ def _write_report(report: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _report_shell(command: str, config: dict, opts: dict, tol: Tolerances) -> dict:
+def _report_shell(command: str, config: dict, opts: dict, tol: Tolerances, result: dict) -> dict:
     return {
         "schemaVersion": SCHEMA_VERSION,
         "command": command,
         "config": config,
-        "seed": int(opts["seed"]),
-        "points": int(opts["points"]),
+        "seed": opts["seed"],
+        "points": opts["points"],
         "tolerances": serialize.tolerances_to_json(tol),
-        "result": {},
+        "result": result,
     }
 
 
-def cmd_classify(args) -> int:
-    config = _load_config(args.config)
-    opts = _options(config, args)
-    tol = _tol(opts)
+def _outcome_exit(outcome: Classification) -> int:
+    return EXIT_UNDETERMINED if outcome.tag is Tag.UNDETERMINED else EXIT_OK
+
+
+def cmd_classify(args, config: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
     params = serialize.params_from_json(config.get("params", {}))
     candidate = None
     cand_cfg = config.get("candidate")
@@ -102,73 +119,55 @@ def cmd_classify(args) -> int:
         candidate = serialize.quadratic_from_json(cand_cfg["quadratic"])
     pts = _scan_points(params, opts)
     outcome = fixpoint.classify(params, candidate=candidate, points=pts, tol=tol)
-    report = _report_shell("classify", config, opts, tol)
-    report["result"]["classification"] = serialize.classification_to_json(outcome)
+    result = {"classification": serialize.classification_to_json(outcome)}
     if outcome.solution is not None:
         residual = fixpoint.transform_residual(params, outcome.solution, pts, tol)
-        report["result"]["residual"] = serialize.report_to_json(residual)
-    _write_report(report, args.out)
-    return EXIT_UNDETERMINED if outcome.tag is Tag.UNDETERMINED else EXIT_OK
+        result["residual"] = serialize.report_to_json(residual)
+    return result, _outcome_exit(outcome)
 
 
-def cmd_solve(args) -> int:
-    config = _load_config(args.config)
-    opts = _options(config, args)
-    tol = _tol(opts)
+def cmd_solve(args, config: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
     params = serialize.params_from_json(config.get("params", {}))
-    report = _report_shell("solve", config, opts, tol)
-    solution = fixpoint.solve_symmetric(params, tol)
-    if solution is None:
-        report["result"]["solution"] = None
-        report["result"]["tag"] = Tag.NO_QUADRATIC_SOLUTION_IN_CONSTRUCTION.value
-        report["result"]["note"] = "slope system of the spectral construction is inconsistent"
+    outcome = fixpoint.classify(params, tol=tol)
+    if outcome.solution is None:
+        result = {"solution": None, "tag": outcome.tag.value, "note": outcome.note}
     else:
         pts = _scan_points(params, opts)
-        residual = fixpoint.transform_residual(params, solution, pts, tol)
-        report["result"]["solution"] = serialize.quadratic_to_json(solution)
-        report["result"]["residual"] = serialize.report_to_json(residual)
-    _write_report(report, args.out)
-    return EXIT_OK
+        residual = fixpoint.transform_residual(params, outcome.solution, pts, tol)
+        result = {
+            "solution": serialize.quadratic_to_json(outcome.solution),
+            "residual": serialize.report_to_json(residual),
+        }
+    return result, _outcome_exit(outcome)
 
 
-def cmd_verify(args) -> int:
-    config = _load_config(args.config)
-    opts = _options(config, args)
-    tol = _tol(opts)
+def cmd_verify(args, config: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
     params = serialize.params_from_json(config.get("params", {}))
     cand_cfg = config.get("candidate")
     if not isinstance(cand_cfg, dict) or len(cand_cfg) != 1:
         raise ParseError("verify needs exactly one candidate (quadratic or sampled)")
-    report = _report_shell("verify", config, opts, tol)
     if "quadratic" in cand_cfg:
         q = serialize.quadratic_from_json(cand_cfg["quadratic"])
-        pts = _scan_points(params, opts)
-        residual = fixpoint.transform_residual(params, q, pts, tol)
-        report["result"]["residual"] = serialize.report_to_json(residual)
+        residual = fixpoint.transform_residual(params, q, _scan_points(params, opts), tol)
         form = fixpoint.verify_form_quadratic(params, q, tol)
-        report["result"]["formResidual"] = serialize.report_to_json(form)
+        result = {
+            "residual": serialize.report_to_json(residual),
+            "formResidual": serialize.report_to_json(form),
+        }
     elif "sampled" in cand_cfg:
         f = serialize.sampled_from_json(cand_cfg["sampled"])
-        window = opts.get("window")
         residual = discrete.grid_fixed_point_residual(
-            params,
-            f,
-            window=None if window is None else (float(window[0]), float(window[1])),
-            boundary_exclusion=float(opts.get("boundary_exclusion", 0.0)),
+            params, f, window=opts["window"], boundary_exclusion=opts["boundary_exclusion"]
         )
-        report["result"]["residual"] = serialize.report_to_json(residual)
+        result = {"residual": serialize.report_to_json(residual)}
     else:
         raise ParseError("candidate must be 'quadratic' or 'sampled'")
-    _write_report(report, args.out)
-    return EXIT_OK
+    return result, EXIT_OK
 
 
-def cmd_conjugate(args) -> int:
-    config = _load_config(args.config)
-    opts = _options(config, args)
-    tol = _tol(opts)
-    fn = serialize.sampled_from_json(_ensure(config, "input"))
-    slopes_cfg = _ensure(config, "slopes")
+def cmd_conjugate(args, config: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
+    fn = serialize.sampled_from_json(_require(config, "input", "config"))
+    slopes_cfg = _require(config, "slopes", "config")
     if isinstance(slopes_cfg, dict):
         try:
             start = float(slopes_cfg["start"])
@@ -180,24 +179,13 @@ def cmd_conjugate(args) -> int:
     else:
         slopes = np.asarray(slopes_cfg, dtype=float)
     conj = discrete.fast_conjugate(fn, slopes)
-    report = _report_shell("conjugate", config, opts, tol)
-    report["result"]["conjugate"] = serialize.sampled_to_json(conj)
-    if args.check:
-        oracle = discrete.brute_conjugate(fn, slopes)
-        same = conj.values.tobytes() == oracle.values.tobytes()
-        report["result"]["oracleCheck"] = "bitwise-equal" if same else "MISMATCH"
-        if not same:
-            _write_report(report, args.out)
-            print("conjugate: oracle mismatch", file=sys.stderr)
-            return EXIT_INTERNAL
-    _write_report(report, args.out)
-    return EXIT_OK
-
-
-def _ensure(config: dict, key: str):
-    if key not in config:
-        raise ParseError(f"config is missing {key!r}")
-    return config[key]
+    result = {"conjugate": serialize.sampled_to_json(conj)}
+    if not args.check:
+        return result, EXIT_OK
+    oracle = discrete.brute_conjugate(fn, slopes)
+    same = conj.values.tobytes() == oracle.values.tobytes()
+    result["oracleCheck"] = "bitwise-equal" if same else "MISMATCH"
+    return result, EXIT_OK if same else EXIT_INTERNAL
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +281,7 @@ def _demo_nonexistence(opts: dict, tol: Tolerances) -> tuple[dict, bool]:
 
 
 def _demo_lql(opts: dict, tol: Tolerances) -> tuple[dict, bool]:
-    rng = np.random.default_rng(int(opts["seed"]) + 20240)
+    rng = np.random.default_rng(opts["seed"] + 20240)
     n = 4
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
     l_matrix = (basis * rng.uniform(0.5, 2.0, n)) @ basis.T
@@ -317,29 +305,46 @@ _DEMOS = {
 }
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(args, config: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
     if args.name not in _DEMOS:
         raise UnknownDemo(f"unknown demo {args.name!r} (choose from {sorted(_DEMOS)})")
-    opts = _options({}, args)
-    tol = _tol(opts)
     result, ok = _DEMOS[args.name](opts, tol)
-    report = _report_shell(f"demo {args.name}", {}, opts, tol)
-    report["result"] = result
-    report["result"]["passed"] = ok
-    _write_report(report, args.out)
-    if not ok:
-        print(f"demo {args.name}: assertion failed", file=sys.stderr)
-        return EXIT_INTERNAL
-    return EXIT_OK
+    result["passed"] = ok
+    return result, EXIT_OK if ok else EXIT_INTERNAL
 
 
-def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
-    if config_required:
-        parser.add_argument("--config", required=True, help="path to the JSON problem config")
-    parser.add_argument("--out", help="write the JSON report here instead of stdout")
-    parser.add_argument("--seed", type=int, help="seed for the sample-point sequence")
-    parser.add_argument("--points", type=int, help="number of residual sample points")
-    parser.add_argument("--tol-scale", type=float, dest="tol_scale", help="scale all tolerances")
+class _Command(NamedTuple):
+    """A subcommand: handler ``(args, config, opts, tol) -> (result, exit
+    code)``, help, whether it reads ``--config``, its own argument (name and
+    ``add_argument`` keywords) and the stderr reason of its exit 4."""
+
+    handler: Callable[..., tuple[dict, int]]
+    help: str
+    needs_config: bool = True
+    argument: Optional[tuple[str, dict]] = None
+    failure: str = ""
+
+
+_COMMANDS = {
+    "classify": _Command(cmd_classify, "run the case analysis on a transform config"),
+    "solve": _Command(cmd_solve, "report the quadratic solution the case analysis constructs"),
+    "verify": _Command(cmd_verify, "residual-check a candidate against a config"),
+    "conjugate": _Command(
+        cmd_conjugate,
+        "discrete Legendre-Fenchel transform of a sampled file",
+        argument=(
+            "--check", {"action": "store_true", "help": "cross-check against the brute oracle"}
+        ),
+        failure="oracle mismatch",
+    ),
+    "demo": _Command(
+        cmd_demo,
+        "run a named end-to-end scenario",
+        needs_config=False,
+        argument=("name", {"help": f"one of {sorted(_DEMOS)}"}),
+        failure="assertion failed",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,37 +353,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classify, solve and verify fixed points of Legendre-Fenchel type transforms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="run the case analysis on a transform config")
-    _add_common(p)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("solve", help="construct the quadratic solution for symmetric E")
-    _add_common(p)
-    p.set_defaults(fn=cmd_solve)
-
-    p = sub.add_parser("verify", help="residual-check a candidate against a config")
-    _add_common(p)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("conjugate", help="discrete Legendre-Fenchel transform of a sampled file")
-    _add_common(p)
-    p.add_argument("--check", action="store_true", help="cross-check against the brute oracle")
-    p.set_defaults(fn=cmd_conjugate)
-
-    p = sub.add_parser("demo", help="run a named end-to-end scenario")
-    p.add_argument("name", help=f"one of {sorted(_DEMOS)}")
-    _add_common(p, config_required=False)
-    p.set_defaults(fn=cmd_demo)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.needs_config:
+            p.add_argument("--config", required=True, help="path to the JSON problem config")
+        p.add_argument("--out", help="write the JSON report here instead of stdout")
+        p.add_argument("--seed", type=int, help="seed for the sample-point sequence")
+        p.add_argument("--points", type=int, help="number of residual sample points")
+        p.add_argument("--tol-scale", type=float, dest="tol_scale", help="scale all tolerances")
+        if command.argument:
+            p.add_argument(command.argument[0], **command.argument[1])
     return parser
+
+
+def _run(args) -> int:
+    """Load, parse options and tolerances, run the handler, write the report."""
+    command = _COMMANDS[args.command]
+    config = _load_config(args.config) if command.needs_config else {}
+    opts = _options(config, args)
+    scale = opts["tol_scale"]
+    tol = DEFAULT_TOL if scale == 1.0 else DEFAULT_TOL.scaled(scale)
+    result, code = command.handler(args, config, opts, tol)
+    title = f"demo {args.name}" if args.command == "demo" else args.command
+    _write_report(_report_shell(title, config, opts, tol, result), args.out)
+    if code == EXIT_INTERNAL:
+        print(f"{title}: {command.failure}", file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        code = args.fn(args)
+        code = _run(args)
     except NumericalFailure as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

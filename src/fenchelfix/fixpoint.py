@@ -61,14 +61,6 @@ def _symmetric_spectrum(p: TransformParams, tol: Tolerances) -> linalg.Spectral:
     return p.spectrum
 
 
-def _e_inverse(p: TransformParams, tol: Tolerances) -> np.ndarray:
-    """E^{-1}: from the cached spectrum when E is symmetric, as in
-    ``solve_symmetric``, otherwise from one SVD (``linalg.invert``)."""
-    if linalg.is_symmetric(p.E, tol):
-        return p.spectrum.inverse(tol)
-    return linalg.invert(p.E, tol)
-
-
 def solve_positive_definite(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> QuadraticFn:
     """Closed-form strictly convex quadratic solution for positive definite E.
 
@@ -165,7 +157,7 @@ def x0_point(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """The point (1/(1-tau)) E^{-1}(w - c) where C2 regularity is assumed."""
     if abs(p.tau - 1.0) <= tol.param_match:
         raise ValueError("x0 is defined only for tau != 1")
-    e_inv = _e_inverse(p, tol)
+    e_inv = p.e_inverse(tol)
     return (e_inv @ p.w - e_inv @ p.c) / (1.0 - p.tau)
 
 
@@ -209,15 +201,8 @@ def classify(
     spec = p.spectrum
     if spec.singular(tol):
         raise Singular("E must be invertible")
-    positive_definite = spec.positive_definite(tol)
-    if not positive_definite and _matches_nonexistence_pattern(p, eps):
-        return Classification(
-            Tag.NO_SOLUTION,
-            note="matches a proven sign-flip nonexistence pattern",
-        )
-
-    solution = solve_symmetric(p, tol)
-    if positive_definite:
+    if spec.positive_definite(tol):
+        solution = solve_positive_definite(p, tol)
         if abs(p.tau - 1.0) <= eps and float(np.max(np.abs(p.c - p.w))) <= eps:
             return Classification(
                 Tag.UNIQUE_ALL_FUNCTIONS,
@@ -236,6 +221,12 @@ def classify(
             solution=solution,
             note="unique among quadratics with invertible leading coefficient",
         )
+    if _matches_nonexistence_pattern(p, eps):
+        return Classification(
+            Tag.NO_SOLUTION,
+            note="matches a proven sign-flip nonexistence pattern",
+        )
+    solution = solve_self_adjoint(p, tol)
     if solution is None:
         return Classification(
             Tag.NO_QUADRATIC_SOLUTION_IN_CONSTRUCTION,
@@ -246,18 +237,6 @@ def classify(
         solution=solution,
         note="construction succeeded; solutions are non-unique in general",
     )
-
-
-def solve_symmetric(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> Optional[QuadraticFn]:
-    """The quadratic solution the case analysis constructs for symmetric E.
-
-    The closed form of ``solve_positive_definite`` when E is positive
-    definite, the spectral construction of ``solve_self_adjoint`` otherwise
-    (None when its slope system is inconsistent).
-    """
-    if _symmetric_spectrum(p, tol).positive_definite(tol):
-        return solve_positive_definite(p, tol)
-    return solve_self_adjoint(p, tol)
 
 
 def _rows(p: TransformParams, points: Iterable) -> np.ndarray:
@@ -332,7 +311,7 @@ def functional_eq_residual(
     if variant == "SelfAdjoint" and not linalg.is_symmetric(p.E, tol):
         raise NotSymmetric("SelfAdjoint variant requires symmetric E")
     pts = _rows(p, points)
-    e_inv = _e_inverse(p, tol)
+    e_inv = p.e_inverse(tol)
     tau, c, w, beta = p.tau, p.c, p.w, p.beta
     e_inv_c = e_inv @ c
     if variant == "Tsquared":

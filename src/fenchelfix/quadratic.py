@@ -114,6 +114,13 @@ class TransformParams:
         (E is read-only).  Callers gate on the symmetry of E themselves."""
         return linalg.eigendecompose(0.5 * (self.E + self.E.T))
 
+    def e_inverse(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+        """E^{-1}: from the cached spectrum when E is symmetric within
+        ``tol``, otherwise from one SVD (``linalg.invert``)."""
+        if linalg.is_symmetric(self.E, tol):
+            return self.spectrum.inverse(tol)
+        return linalg.invert(self.E, tol)
+
 
 @dataclass(frozen=True)
 class DualParams:
@@ -170,7 +177,7 @@ def dual_params(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> DualParams
     h = h* of a known pair and expanding the supremum directly fixes these
     coefficients, and the biconjugation tests exercise them at tau != 1.)
     """
-    e_inv = linalg.invert(p.E, tol)
+    e_inv = p.e_inverse(tol)
     h = e_inv.T / p.tau
     v = -h @ p.w
     z = -e_inv @ p.c

@@ -33,8 +33,8 @@ class Tolerances:
 
     def scaled(self, factor: float) -> "Tolerances":
         """Return a copy with every tolerance multiplied by ``factor``."""
-        if factor <= 0.0:
-            raise ValueError("tolerance scale must be positive")
+        if not 0.0 < factor < float("inf"):  # NaN fails this too
+            raise ValueError("tolerance scale must be positive and finite")
         return replace(
             self,
             **{name: getattr(self, name) * factor for name in self.__dataclass_fields__},

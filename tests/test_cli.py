@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
+from fenchelfix import cli, discrete
 from fenchelfix.cli import main
 
 
@@ -133,7 +135,27 @@ class TestSolveCommand:
         assert run(tmp_path, "solve", "--config", cfg, "--out", str(out)) == 0
         result = json.loads(out.read_text())["result"]
         assert result["solution"] is None
-        assert result["tag"] == "NoQuadraticSolutionInConstruction"
+        assert result["tag"] == "NoSolution"
+        assert result["note"] == "matches a proven sign-flip nonexistence pattern"
+
+    def test_non_symmetric_e_is_undetermined(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", identity_config(e=[[0.0, 1.0], [-1.0, 0.0]]))
+        out = tmp_path / "report.json"
+        assert run(tmp_path, "solve", "--config", cfg, "--out", str(out)) == 3
+        result = json.loads(out.read_text())["result"]
+        assert result["solution"] is None
+        assert result["tag"] == "Undetermined"
+
+    def test_follows_the_singularity_rule_of_classify(self, tmp_path, capsys):
+        # condition number 1e12: singular under the default sing_rel = 1e-10
+        graded = identity_config(n=3, e=np.diag([1e-6, 1.0, 1e6]).tolist())
+        cfg = write_config(tmp_path, "cfg.json", graded)
+        out = str(tmp_path / "r.json")
+        for command in ("classify", "solve"):
+            assert run(tmp_path, command, "--config", cfg, "--out", out) == 2
+            assert "E must be invertible" in capsys.readouterr().err
+            scaled = ("--tol-scale", "0.001")
+            assert run(tmp_path, command, "--config", cfg, "--out", out, *scaled) == 0
 
     def test_relative_residual_reported_and_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", identity_config(n=3, tau=1e12, beta=0.7))
@@ -202,6 +224,21 @@ class TestVerifyCommand:
         cfg = write_config(tmp_path, "cfg.json", identity_config())
         assert run(tmp_path, "verify", "--config", cfg) == 2
 
+    @pytest.mark.parametrize(
+        "options, key",
+        [(5, "'options' must be an object"), ({"points": None}, "bad option 'points'")],
+        ids=["options_not_object", "points_null"],
+    )
+    def test_bad_options_exit_two(self, tmp_path, capsys, options, key):
+        payload = identity_config()
+        payload["candidate"] = {"quadratic": {"A": np.eye(2).tolist(), "b": [0.0, 0.0]}}
+        payload["options"] = options
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        assert run(tmp_path, "verify", "--config", cfg, "--out", str(tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "internal error" not in err
+
 
 class TestConjugateCommand:
     def test_parabola_with_oracle_check(self, tmp_path):
@@ -259,6 +296,26 @@ class TestConjugateCommand:
         out = tmp_path / "out.json"
         assert run(tmp_path, "conjugate", "--config", cfg, "--out", str(out)) == 0
 
+    def test_missing_input_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "conj.json", {"slopes": [0.0]})
+        assert run(tmp_path, "conjugate", "--config", cfg) == 2
+        assert "missing 'input' in config" in capsys.readouterr().err
+
+    def test_oracle_mismatch_exit_four(self, tmp_path, monkeypatch, capsys):
+        brute = discrete.brute_conjugate
+
+        def off_by_one(fn, slopes):
+            out = brute(fn, slopes)
+            return discrete.SampledFn(out.points, out.values + 1.0)
+
+        monkeypatch.setattr(discrete, "brute_conjugate", off_by_one)
+        payload = {"input": {"points": [0.0, 1.0], "values": [0.0, 1.0]}, "slopes": [0.5]}
+        cfg = write_config(tmp_path, "conj.json", payload)
+        out = tmp_path / "out.json"
+        assert run(tmp_path, "conjugate", "--config", cfg, "--check", "--out", str(out)) == 4
+        assert json.loads(out.read_text())["result"]["oracleCheck"] == "MISMATCH"
+        assert "conjugate: oracle mismatch" in capsys.readouterr().err
+
     def test_all_infinite_exit_two(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -284,6 +341,15 @@ class TestDemoCommand:
     def test_unknown_demo_exit_two(self, tmp_path):
         assert run(tmp_path, "demo", "bogus") == 2
 
+    def test_failed_demo_exit_four(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(cli._DEMOS, "energy", lambda opts, tol: ({"detail": 1.0}, False))
+        out = tmp_path / "energy.json"
+        assert run(tmp_path, "demo", "energy", "--out", str(out)) == 4
+        report = json.loads(out.read_text())
+        assert report["command"] == "demo energy"
+        assert report["result"] == {"detail": 1.0, "passed": False}
+        assert "demo energy: assertion failed" in capsys.readouterr().err
+
 
 class TestToleranceScaling:
     def test_tol_scale_flag_is_echoed(self, tmp_path):
@@ -292,6 +358,15 @@ class TestToleranceScaling:
         assert run(tmp_path, "classify", "--config", cfg, "--out", str(out), "--tol-scale", "10") == 0
         report = json.loads(out.read_text())
         assert report["tolerances"]["pd"] == pytest.approx(1e-9)
+
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_bad_tol_scale_exit_two(self, tmp_path, capsys, scale):
+        # a NaN scale made every tolerance comparison false, so a symmetric
+        # positive definite E was reported Undetermined with exit 3
+        cfg = write_config(tmp_path, "cfg.json", identity_config(tau=2.0))
+        out = str(tmp_path / "r.json")
+        assert run(tmp_path, "classify", "--config", cfg, "--out", out, "--tol-scale", scale) == 2
+        assert "tolerance scale must be positive and finite" in capsys.readouterr().err
 
     def test_tolerance_keys(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", identity_config())
@@ -306,3 +381,67 @@ class TestToleranceScaling:
             "sing_rel",
             "sym",
         ]
+
+
+# one config per tag of the case analysis, both sign-flip patterns included
+TAG_CONFIGS = {
+    "UniqueAllFunctions": identity_config(e=[[2.0, 0.5], [0.5, 1.0]], c=[1.0, -1.0], w=[1.0, -1.0]),
+    "UniqueInQuadraticInvertibleClass": identity_config(
+        e=[[2.0, 0.5], [0.5, 1.0]], c=[1.0, -1.0], w=[0.0, 2.0], beta=0.3
+    ),
+    "UniqueInC2Class": identity_config(
+        e=[[2.0, 0.5], [0.5, 1.0]], c=[1.0, -1.0], w=[0.0, 2.0], tau=2.5, beta=0.3
+    ),
+    "QuadraticSolutionExists": identity_config(
+        e=[[1.0, 0.0], [0.0, -1.0]], c=[0.3, 0.2], w=[0.1, -0.4], tau=2.0, beta=0.5
+    ),
+    "NoSolution-w": identity_config(e=(-np.eye(2)).tolist(), w=[1.0, 0.0]),
+    "NoSolution-c": identity_config(e=(-np.eye(2)).tolist(), c=[0.5, -1.0]),
+    "NoQuadraticSolutionInConstruction": identity_config(n=1, e=[[-1.0]], w=[1.0], beta=1.0),
+    "Undetermined": identity_config(e=[[0.0, 1.0], [-1.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("name", list(TAG_CONFIGS))
+def test_solve_reports_what_classify_decides(tmp_path, name):
+    cfg = write_config(tmp_path, "cfg.json", TAG_CONFIGS[name])
+    a, b = tmp_path / "classify.json", tmp_path / "solve.json"
+    classify_code = run(tmp_path, "classify", "--config", cfg, "--out", str(a))
+    solve_code = run(tmp_path, "solve", "--config", cfg, "--out", str(b))
+    decided = json.loads(a.read_text())["result"]["classification"]
+    solved = json.loads(b.read_text())["result"]
+    assert decided["tag"] == name.split("-")[0]
+    assert solve_code == classify_code
+    assert solved["solution"] == decided["solution"]
+    if decided["solution"] is None:
+        assert (solved["tag"], solved["note"]) == (decided["tag"], decided["note"])
+
+
+HELP = (("-h", "--help"), "help", False, argparse.SUPPRESS)
+COMMON = {
+    (("--out",), "out", False, None),
+    (("--seed",), "seed", False, None),
+    (("--points",), "points", False, None),
+    (("--tol-scale",), "tol_scale", False, None),
+}
+CONFIG = (("--config",), "config", True, None)
+SURFACE = {
+    "classify": COMMON | {HELP, CONFIG},
+    "solve": COMMON | {HELP, CONFIG},
+    "verify": COMMON | {HELP, CONFIG},
+    "conjugate": COMMON | {HELP, CONFIG, (("--check",), "check", False, False)},
+    "demo": COMMON | {HELP, ((), "name", True, None)},
+}
+
+
+def test_cli_surface():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(SURFACE)
+    for name, subparser in sub.choices.items():
+        actions = {
+            (tuple(a.option_strings), a.dest, a.required, a.default) for a in subparser._actions
+        }
+        assert actions == SURFACE[name], name
+        types = {a.dest: a.type for a in subparser._actions}
+        assert (types["seed"], types["points"], types["tol_scale"]) == (int, int, float)

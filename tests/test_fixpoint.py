@@ -4,6 +4,7 @@ import pytest
 from conftest import random_indefinite_matrix, random_orthogonal, random_pd_instance
 from test_acceptance import pd_corpus
 from fenchelfix import (
+    DEFAULT_TOL,
     BadDeterminant,
     DimMismatch,
     NotInvolution,
@@ -32,7 +33,6 @@ from fenchelfix import (
     solve_lql,
     solve_positive_definite,
     solve_self_adjoint,
-    solve_symmetric,
     transform_residual,
     upper_envelope,
     verify_form_quadratic,
@@ -202,6 +202,16 @@ BRANCHES = {
     Tag.UNDETERMINED: quarter_turn_params,
 }
 
+# the construction each symmetric branch of classify runs
+CONSTRUCTIONS = {
+    Tag.UNIQUE_ALL_FUNCTIONS: solve_positive_definite,
+    Tag.UNIQUE_IN_C2_CLASS: solve_positive_definite,
+    Tag.UNIQUE_IN_QUADRATIC_INVERTIBLE_CLASS: solve_positive_definite,
+    Tag.QUADRATIC_SOLUTION_EXISTS: solve_self_adjoint,
+    Tag.NO_SOLUTION: solve_self_adjoint,
+    Tag.NO_QUADRATIC_SOLUTION_IN_CONSTRUCTION: solve_self_adjoint,
+}
+
 
 class TestOneSpectrumPerProblem:
     @pytest.mark.parametrize("tag", list(BRANCHES), ids=lambda t: t.value)
@@ -213,13 +223,11 @@ class TestOneSpectrumPerProblem:
         classify(p)
         assert len(decompose_counter.seen) <= 1  # the spectrum is cached on p
 
-    @pytest.mark.parametrize(
-        "tag", [t for t in BRANCHES if t is not Tag.UNDETERMINED], ids=lambda t: t.value
-    )
+    @pytest.mark.parametrize("tag", list(CONSTRUCTIONS), ids=lambda t: t.value)
     def test_solve_after_classify_reuses_the_spectrum(self, decompose_counter, tag):
         p = BRANCHES[tag]()
         outcome = classify(p)
-        solution = solve_symmetric(p)
+        solution = CONSTRUCTIONS[tag](p)
         assert decompose_counter.of(p.E) == 1
         assert len(decompose_counter.seen) == 1
         if outcome.solution is not None:
@@ -242,9 +250,10 @@ class TestOneSpectrumPerProblem:
         # leading coefficient, a new quadratic built by upper_envelope
         assert len(decompose_counter.seen) == 3
 
-    def test_solve_symmetric_rejects_asymmetric_e(self):
+    @pytest.mark.parametrize("construction", [solve_positive_definite, solve_self_adjoint])
+    def test_constructions_reject_asymmetric_e(self, construction):
         with pytest.raises(NotSymmetric):
-            solve_symmetric(quarter_turn_params())
+            construction(quarter_turn_params())
 
     @pytest.mark.parametrize("tag", list(BRANCHES), ids=lambda t: t.value)
     def test_classify_forms_no_svd_inverse(self, invert_counter, tag):
@@ -287,7 +296,7 @@ def test_spectral_inverse_agrees_with_the_svd_route(monkeypatch):
         return out
 
     spectral = run()
-    monkeypatch.setattr(fixpoint, "_e_inverse", lambda p, tol: invert(p.E, tol))
+    monkeypatch.setattr(TransformParams, "e_inverse", lambda p, tol: invert(p.E, tol))
     svd = run()
     for (p, _sol), (x0_s, res_s), (x0_v, res_v) in zip(pd_corpus(), spectral, svd):
         bound = 4.0 * np.linalg.cond(p.E) * p.dim * eps
@@ -516,15 +525,17 @@ class TestRelativeResidual:
         # the absolute residual of these exact solutions grows with the scale
         # of tau, E and the values (up to about 6e-5 here); the relative one
         # stays near 1e-15, except 5.8e-13 for the graded E at tau = 1e12,
-        # whose transform inverts a 1e12-conditioned A
+        # whose transform inverts a 1e12-conditioned A.  That graded E is
+        # singular under the default sing_rel = 1e-10, so classify runs with
+        # the tolerances scaled by 1e-3 (as `--tol-scale 0.001` would)
         p = TransformParams(e, self.C, self.W, tau, 0.7)
-        sol = solve_symmetric(p)
+        sol = classify(p, tol=DEFAULT_TOL.scaled(1e-3)).solution
         rep = transform_residual(p, sol, sample_points(3, 100, seed=31))
         assert rep.max_rel <= 1e-12
 
     def test_large_values(self):
         p = TransformParams(np.eye(3), [1e6, -1e6, 0.0], [1e6, 0.0, 3e5], 2.0, 1e9)
-        rep = transform_residual(p, solve_symmetric(p), sample_points(3, 100, seed=31))
+        rep = transform_residual(p, classify(p).solution, sample_points(3, 100, seed=31))
         assert rep.max_abs > 1e-9  # the absolute gate would fail this exact solution
         assert rep.max_rel <= 1e-12
 
