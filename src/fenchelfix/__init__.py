@@ -80,7 +80,7 @@ from .discrete import (
     sample,
     uniform_grid,
 )
-from .sampling import instance_seed, sample_points
+from .sampling import sample_points
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

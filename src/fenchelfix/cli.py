@@ -24,7 +24,7 @@ import numpy as np
 from . import discrete, fixpoint, linalg, serialize
 from .errors import FenchelFixError, NumericalFailure, ParseError, UnknownDemo
 from .fixpoint import Classification, Tag
-from .quadratic import TransformParams
+from .quadratic import QuadraticFn, TransformParams
 from .sampling import sample_points
 from .serialize import _require
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -50,13 +50,20 @@ def _load_config(path: str) -> dict:
     return obj
 
 
+def _count(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError("must be at least 1")
+    return n
+
+
 def _window(value) -> Optional[tuple[float, float]]:
     return None if value is None else (float(value[0]), float(value[1]))
 
 
 # run options: name -> (conversion, default)
 _OPTIONS = {
-    "points": (int, 100),
+    "points": (_count, 100),
     "seed": (int, 0),
     "tol_scale": (float, 1.0),
     "radius": (float, 3.0),
@@ -73,6 +80,9 @@ def _options(config: dict, args) -> dict:
         raise ParseError("config 'options' must be an object")
     flags = {k: getattr(args, k) for k in ("points", "seed", "tol_scale")}
     raw = {**raw, **{k: v for k, v in flags.items() if v is not None}}
+    for key in raw:
+        if key not in _OPTIONS:
+            raise ParseError(f"unknown option {key!r}")
     opts = {}
     for key, (convert, default) in _OPTIONS.items():
         try:
@@ -107,16 +117,24 @@ def _report_shell(command: str, config: dict, opts: dict, tol: Tolerances, resul
     }
 
 
+def _candidate(config: dict, command: str, kinds: tuple):
+    """The config's ``candidate``, parsed: exactly one entry, keyed by one of
+    ``kinds``."""
+    cand = config.get("candidate")
+    if not isinstance(cand, dict) or len(cand) != 1 or not set(cand) <= set(kinds):
+        raise ParseError(f"{command} needs exactly one candidate ({' or '.join(kinds)})")
+    ((kind, raw),) = cand.items()
+    parse = serialize.quadratic_from_json if kind == "quadratic" else serialize.sampled_from_json
+    return parse(raw)
+
+
 def _outcome_exit(outcome: Classification) -> int:
     return EXIT_UNDETERMINED if outcome.tag is Tag.UNDETERMINED else EXIT_OK
 
 
 def cmd_classify(args, config: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
     params = serialize.params_from_json(config.get("params", {}))
-    candidate = None
-    cand_cfg = config.get("candidate")
-    if isinstance(cand_cfg, dict) and "quadratic" in cand_cfg:
-        candidate = serialize.quadratic_from_json(cand_cfg["quadratic"])
+    candidate = _candidate(config, "classify", ("quadratic",)) if "candidate" in config else None
     pts = _scan_points(params, opts)
     outcome = fixpoint.classify(params, candidate=candidate, points=pts, tol=tol)
     result = {"classification": serialize.classification_to_json(outcome)}
@@ -143,25 +161,19 @@ def cmd_solve(args, config: dict, opts: dict, tol: Tolerances) -> tuple[dict, in
 
 def cmd_verify(args, config: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
     params = serialize.params_from_json(config.get("params", {}))
-    cand_cfg = config.get("candidate")
-    if not isinstance(cand_cfg, dict) or len(cand_cfg) != 1:
-        raise ParseError("verify needs exactly one candidate (quadratic or sampled)")
-    if "quadratic" in cand_cfg:
-        q = serialize.quadratic_from_json(cand_cfg["quadratic"])
-        residual = fixpoint.transform_residual(params, q, _scan_points(params, opts), tol)
-        form = fixpoint.verify_form_quadratic(params, q, tol)
+    candidate = _candidate(config, "verify", ("quadratic", "sampled"))
+    if isinstance(candidate, QuadraticFn):
+        residual = fixpoint.transform_residual(params, candidate, _scan_points(params, opts), tol)
+        form = fixpoint.verify_form_quadratic(params, candidate, tol)
         result = {
             "residual": serialize.report_to_json(residual),
             "formResidual": serialize.report_to_json(form),
         }
-    elif "sampled" in cand_cfg:
-        f = serialize.sampled_from_json(cand_cfg["sampled"])
+    else:
         residual = discrete.grid_fixed_point_residual(
-            params, f, window=opts["window"], boundary_exclusion=opts["boundary_exclusion"]
+            params, candidate, window=opts["window"], boundary_exclusion=opts["boundary_exclusion"]
         )
         result = {"residual": serialize.report_to_json(residual)}
-    else:
-        raise ParseError("candidate must be 'quadratic' or 'sampled'")
     return result, EXIT_OK
 
 
@@ -371,8 +383,7 @@ def _run(args) -> int:
     command = _COMMANDS[args.command]
     config = _load_config(args.config) if command.needs_config else {}
     opts = _options(config, args)
-    scale = opts["tol_scale"]
-    tol = DEFAULT_TOL if scale == 1.0 else DEFAULT_TOL.scaled(scale)
+    tol = DEFAULT_TOL.scaled(opts["tol_scale"])
     result, code = command.handler(args, config, opts, tol)
     title = f"demo {args.name}" if args.command == "demo" else args.command
     _write_report(_report_shell(title, config, opts, tol, result), args.out)

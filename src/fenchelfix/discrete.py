@@ -42,10 +42,10 @@ from .reports import ResidualReport, report_from_residuals
 INF = np.inf
 
 
-def _check_grid(points, min_len: int = 1) -> np.ndarray:
+def _check_grid(points) -> np.ndarray:
     p = np.asarray(points, dtype=float)
-    if p.ndim != 1 or p.size < min_len:
-        raise DimMismatch(f"grid must be 1-D with at least {min_len} points")
+    if p.ndim != 1 or p.size < 1:
+        raise DimMismatch("grid must be 1-D with at least 1 point")
     if not np.all(np.isfinite(p)):
         raise ValueError("grid points must be finite")
     if p.size > 1 and not np.all(np.diff(p) > 0.0):
@@ -123,10 +123,7 @@ class SampledFn2D:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (xs.size, ys.size):
             raise DimMismatch("2-D values must have shape (len(xs), len(ys))")
-        if np.any(np.isneginf(v)) or np.any(np.isnan(v)):
-            raise ValueError("values must be finite or +inf")
-        if not np.any(np.isfinite(v)):
-            raise AllInfinite("sampled function has no finite value")
+        _check_values(v.ravel(), v.size)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "values", _owned(v, self.values))

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .quadratic import QuadraticFn, TransformParams, apply_transform
 from .reports import ResidualReport, report_from_residuals
-from .sampling import instance_seed, sample_points
+from .sampling import sample_points
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -193,7 +193,7 @@ def classify(
             raise Singular("matrix is singular within tolerance")
         note = "E is not symmetric; no decision procedure is available"
         if candidate is not None:
-            pts = points if points is not None else _default_points(p)
+            pts = points if points is not None else sample_points(p.dim, 100)
             scan = transform_residual(p, candidate, pts, tol)
             note += f"; candidate residual max {scan.max_abs:.3e} over {scan.sample_points} points"
         return Classification(Tag.UNDETERMINED, note=note)
@@ -253,11 +253,6 @@ def _values(f: Callable[[np.ndarray], float], pts: np.ndarray) -> np.ndarray:
     if isinstance(f, QuadraticFn):
         return f.values(pts)
     return np.array([f(x) for x in pts], dtype=float)
-
-
-def _default_points(p: TransformParams, count: int = 100) -> np.ndarray:
-    seed = instance_seed(p.E, p.c, p.w, [p.tau, p.beta])
-    return sample_points(p.dim, count, seed=seed)
 
 
 def transform_residual(

@@ -11,7 +11,7 @@ transform and direct sums of blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence, Union
 
@@ -35,10 +35,9 @@ class QuadraticFn:
     A: np.ndarray
     b: np.ndarray
     gamma: float = 0.0
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
-        a = linalg.as_symmetric(self.A, self.tol)
+        a = linalg.as_symmetric(self.A)
         b = linalg.as_vector(self.b, a.shape[0])
         object.__setattr__(self, "A", _frozen_array(a))
         object.__setattr__(self, "b", _frozen_array(b))

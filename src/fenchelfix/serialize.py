@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .discrete import INF, SampledFn, SampledFn2D
+from .discrete import INF, SampledFn
 from .errors import ParseError
 from .fixpoint import Classification
 from .quadratic import QuadraticFn, TransformParams
@@ -34,16 +34,6 @@ def _require(obj: dict, key: str, ctx: str) -> Any:
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"missing {key!r} in {ctx}")
     return obj[key]
-
-
-def params_to_json(p: TransformParams) -> dict:
-    return {
-        "E": _matrix_out(p.E),
-        "c": _vector_out(p.c),
-        "w": _vector_out(p.w),
-        "tau": float(p.tau),
-        "beta": float(p.beta),
-    }
 
 
 def params_from_json(obj: dict) -> TransformParams:
@@ -103,24 +93,6 @@ def sampled_from_json(obj: dict) -> SampledFn:
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad sampled function: {exc}") from exc
-
-
-def sampled2d_to_json(f: SampledFn2D) -> dict:
-    return {
-        "xs": _vector_out(f.xs),
-        "ys": _vector_out(f.ys),
-        "values": _values_out(f.values.ravel()),
-    }
-
-
-def sampled2d_from_json(obj: dict) -> SampledFn2D:
-    try:
-        xs = np.asarray(_require(obj, "xs", "sampled2d"), dtype=float)
-        ys = np.asarray(_require(obj, "ys", "sampled2d"), dtype=float)
-        values = _values_in(_require(obj, "values", "sampled2d"), "sampled2d values")
-        return SampledFn2D(xs=xs, ys=ys, values=values.reshape(xs.size, ys.size))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad 2-D sampled function: {exc}") from exc
 
 
 def report_to_json(r: ResidualReport) -> dict:

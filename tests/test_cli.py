@@ -1,9 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fenchelfix
 from fenchelfix import cli, discrete
 from fenchelfix.cli import main
 
@@ -65,6 +69,23 @@ class TestClassifyCommand:
         assert run(tmp_path, "classify", "--config", cfg, "--out", out) == 2
         assert "singular" in capsys.readouterr().err
         assert run(tmp_path, "classify", "--config", cfg, "--out", out, "--tol-scale", "0.01") == 3
+
+    @pytest.mark.parametrize(
+        "candidate",
+        [
+            {"sampled": {"points": [0.0, 1.0], "values": [0.0, 0.5]}},
+            {"quadratic": {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0]}, "sampled": {}},
+            [1.0],
+        ],
+        ids=["sampled", "two_entries", "not_object"],
+    )
+    def test_unusable_candidate_exit_two(self, tmp_path, capsys, candidate):
+        # the candidate was silently dropped on a positive definite E
+        payload = identity_config()
+        payload["candidate"] = candidate
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        assert run(tmp_path, "classify", "--config", cfg, "--out", str(tmp_path / "r.json")) == 2
+        assert "classify needs exactly one candidate (quadratic)" in capsys.readouterr().err
 
     def test_bad_json_exit_two(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -226,8 +247,13 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "options, key",
-        [(5, "'options' must be an object"), ({"points": None}, "bad option 'points'")],
-        ids=["options_not_object", "points_null"],
+        [
+            (5, "'options' must be an object"),
+            ({"points": None}, "bad option 'points'"),
+            ({"points": 0}, "bad option 'points': must be at least 1"),
+            ({"windw": [-4.0, 4.0]}, "unknown option 'windw'"),
+        ],
+        ids=["options_not_object", "points_null", "points_zero", "unknown_key"],
     )
     def test_bad_options_exit_two(self, tmp_path, capsys, options, key):
         payload = identity_config()
@@ -368,6 +394,13 @@ class TestToleranceScaling:
         assert run(tmp_path, "classify", "--config", cfg, "--out", out, "--tol-scale", scale) == 2
         assert "tolerance scale must be positive and finite" in capsys.readouterr().err
 
+    def test_zero_points_flag_exit_two(self, tmp_path, capsys):
+        # a scan over no points reported maxAbs 0.0 with exit 0
+        cfg = write_config(tmp_path, "cfg.json", identity_config(tau=2.0))
+        out = str(tmp_path / "r.json")
+        assert run(tmp_path, "classify", "--config", cfg, "--out", out, "--points", "0") == 2
+        assert "bad option 'points': must be at least 1" in capsys.readouterr().err
+
     def test_tolerance_keys(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", identity_config())
         out = tmp_path / "report.json"
@@ -445,3 +478,13 @@ def test_cli_surface():
         assert actions == SURFACE[name], name
         types = {a.dest: a.type for a in subparser._actions}
         assert (types["seed"], types["points"], types["tol_scale"]) == (int, int, float)
+
+
+def test_cli_import_does_not_load_hashlib():
+    code = "import sys, fenchelfix.cli; print('hashlib' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(fenchelfix.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -439,6 +439,20 @@ class TestSampledFnOwnsItsArrays:
         vals[0, 0] = 9.0
         assert g.values[0, 0] == 0.0
 
+    @pytest.mark.parametrize(
+        "vals, error",
+        [
+            ([[0.0, -np.inf], [0.0, 0.0]], ValueError),
+            ([[0.0, np.nan], [0.0, 0.0]], ValueError),
+            ([[np.inf, np.inf], [np.inf, np.inf]], AllInfinite),
+            ([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], DimMismatch),
+        ],
+        ids=["neg_inf", "nan", "all_inf", "shape"],
+    )
+    def test_2d_values_are_checked(self, vals, error):
+        with pytest.raises(error):
+            SampledFn2D([0.0, 1.0], [0.0, 1.0], vals)
+
     def test_library_outputs_are_shared_not_copied(self):
         f = SampledFn(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 5.0, 0.0]))
         assert not f.points.flags.writeable and not f.hull.flags.writeable
