@@ -55,7 +55,6 @@ from .fixpoint import (
     g_scaling_residual,
     lower_envelope,
     quarter_turn_params,
-    self_adjoint_system,
     shift_equation_residual,
     skew_solution,
     solve_lql,

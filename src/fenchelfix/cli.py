@@ -50,11 +50,22 @@ def _load_config(path: str) -> dict:
     return obj
 
 
+def _integer(value) -> int:
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError("must be an integer")
+    return int(value)
+
+
 def _count(value) -> int:
-    n = int(value)
-    if n < 1:
+    if _integer(value) < 1:
         raise ValueError("must be at least 1")
-    return n
+    return int(value)
+
+
+def _radius(value) -> float:
+    if not 0.0 < float(value) < float("inf"):
+        raise ValueError("must be positive and finite")
+    return float(value)
 
 
 def _window(value) -> Optional[tuple[float, float]]:
@@ -64,9 +75,9 @@ def _window(value) -> Optional[tuple[float, float]]:
 # run options: name -> (conversion, default)
 _OPTIONS = {
     "points": (_count, 100),
-    "seed": (int, 0),
+    "seed": (_integer, 0),
     "tol_scale": (float, 1.0),
-    "radius": (float, 3.0),
+    "radius": (_radius, 3.0),
     "window": (_window, None),
     "boundary_exclusion": (float, 0.0),
 }

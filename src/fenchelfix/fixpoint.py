@@ -2,10 +2,12 @@
 
 The equation under study is ``f(x) = tau f*(Ex + c) + <w, x> + beta`` with
 ``f*`` the Legendre-Fenchel transform.  Depending on E and the scalars it
-has a unique solution, many solutions, or none; this module constructs the
-closed-form quadratic solutions where they exist, detects the proven
-nonexistence patterns, classifies everything else honestly, and provides
-residual checks for every identity a solution must satisfy.
+has a unique solution, many solutions, or none.  A quadratic fixed point
+obeys three relations with S = tau E^T A^{-1}: A = S E, a slope system and a
+constant.  Both closed-form constructions choose A and S and share the other
+two, and ``verify_form_quadratic`` checks all three.  The module also detects
+the proven nonexistence patterns, classifies everything else honestly, and
+provides residual checks for every identity a solution must satisfy.
 """
 
 from __future__ import annotations
@@ -61,12 +63,21 @@ def _symmetric_spectrum(p: TransformParams, tol: Tolerances) -> linalg.Spectral:
     return p.spectrum
 
 
+def _slope_system(p: TransformParams, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(I + S, w + S c): a fixed point's slope b solves (I + S) b = w + S c."""
+    return s + np.eye(p.dim), p.w + s @ p.c
+
+
+def _constant(p: TransformParams, a_inv: np.ndarray, b: np.ndarray) -> float:
+    """A fixed point's constant (beta + tau/2 <c - b, A^{-1}(c - b)>) / (tau + 1)."""
+    diff = p.c - b
+    return (p.beta + 0.5 * p.tau * float(diff @ a_inv @ diff)) / (p.tau + 1.0)
+
+
 def solve_positive_definite(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> QuadraticFn:
     """Closed-form strictly convex quadratic solution for positive definite E.
 
-    A = sqrt(tau) E,  b = (w + sqrt(tau) c) / (1 + sqrt(tau)),
-    gamma = (beta (1 + sqrt(tau))^2 + sqrt(tau)/2 <c - w, E^{-1}(c - w)>)
-            / ((1 + sqrt(tau))^2 (tau + 1)).
+    A = sqrt(tau) E, so S = sqrt(tau) I and b = (w + sqrt(tau) c) / (1 + sqrt(tau)).
     """
     spec = _symmetric_spectrum(p, tol)
     if not spec.positive_definite(tol):
@@ -74,33 +85,7 @@ def solve_positive_definite(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -
     rt = np.sqrt(p.tau)
     a = rt * (0.5 * (p.E + p.E.T))
     b = (p.w + rt * p.c) / (1.0 + rt)
-    e_inv = spec.apply(lambda d: 1.0 / d)
-    diff = p.c - p.w
-    gamma = (p.beta * (1.0 + rt) ** 2 + 0.5 * rt * float(diff @ e_inv @ diff)) / (
-        (1.0 + rt) ** 2 * (p.tau + 1.0)
-    )
-    return QuadraticFn(a, b, gamma)
-
-
-def self_adjoint_system(
-    p: TransformParams, tol: Tolerances = DEFAULT_TOL
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pieces of the construction for symmetric invertible E.
-
-    Returns (A, M, rhs) where A = sqrt(tau) U |D| U^T from E = U D U^T,
-    M = tau E A^{-1} + I = sqrt(tau) U sign(D) U^T + I, and
-    rhs = w + tau E A^{-1} c.  The slope coefficient b of a quadratic
-    solution must satisfy M b = rhs.
-    """
-    spec = _symmetric_spectrum(p, tol)
-    if spec.singular(tol):
-        raise Singular("E must be invertible")
-    rt = np.sqrt(p.tau)
-    a = spec.apply(lambda d: rt * np.abs(d))
-    s = spec.apply(lambda d: rt * np.sign(d))  # tau E A^{-1}
-    m = s + np.eye(p.dim)
-    rhs = p.w + s @ p.c
-    return a, m, rhs
+    return QuadraticFn(a, b, _constant(p, spec.apply(lambda d: 1.0 / (rt * d)), b))
 
 
 def solve_self_adjoint(
@@ -108,49 +93,41 @@ def solve_self_adjoint(
 ) -> Optional[QuadraticFn]:
     """Quadratic solution for symmetric invertible E of any definiteness.
 
-    Uses the spectral absolute value for the leading coefficient and the
-    minimum-norm solution of the (possibly singular) slope system, which
-    pins down b deterministically when the system has many solutions.
-    Returns None when that system is inconsistent: the construction then
-    produces no quadratic solution.
+    A = sqrt(tau)|E| and S = sqrt(tau) sign(E) from the spectrum of E; b is the
+    minimum-norm solution of the slope system, or None when that system is
+    inconsistent and the construction produces no quadratic solution.
     """
-    a, m, rhs = self_adjoint_system(p, tol)
-    # M and A share the eigenvectors of E; M's eigenvalues sqrt(tau) sign(D) + 1
-    # keep the descending order of D
-    rt, spec = np.sqrt(p.tau), p.spectrum
+    spec = _symmetric_spectrum(p, tol)
+    if spec.singular(tol):
+        raise Singular("E must be invertible")
+    rt = np.sqrt(p.tau)
+    a = spec.apply(lambda d: rt * np.abs(d))
+    m, rhs = _slope_system(p, spec.apply(lambda d: rt * np.sign(d)))
+    # I + S has the eigenvectors of E and eigenvalues sqrt(tau) sign(D) + 1, in D's order
     m_spec = linalg.Spectral(rt * np.sign(spec.eigenvalues) + 1.0, spec.vectors)
     b = linalg.solve_min_norm(m, rhs, tol, spec=m_spec)
     if b is None:
         return None
-    a_inv = spec.apply(lambda d: 1.0 / (rt * np.abs(d)))
-    diff = p.c - b
-    gamma = (p.beta + 0.5 * p.tau * float(diff @ a_inv @ diff)) / (p.tau + 1.0)
-    return QuadraticFn(a, b, gamma)
+    return QuadraticFn(a, b, _constant(p, spec.apply(lambda d: 1.0 / (rt * np.abs(d))), b))
 
 
 def verify_form_quadratic(
     p: TransformParams, q: QuadraticFn, tol: Tolerances = DEFAULT_TOL
 ) -> ResidualReport:
-    """Residuals of the coefficient relations a quadratic fixed point obeys.
+    """Residuals of the three relations a quadratic fixed point obeys, for any E.
 
-    Checks A = tau E^T A^{-1} E, the slope system
-    (tau E^T A^{-1} + I) b = w + tau E^T A^{-1} c, the constant relation
-    gamma = (beta + tau/2 <c - b, A^{-1}(c - b)>) / (tau + 1), and the
-    square-root identity (sqrt(tau) A^{-1} E)^2 = I.
+    With S = tau E^T A^{-1}: A = S E, the slope system (I + S) b = w + S c,
+    and gamma = (beta + tau/2 <c - b, A^{-1}(c - b)>) / (tau + 1).
     """
     if p.dim != q.dim:
         raise DimMismatch("transform and quadratic dimensions differ")
     a_inv = q.spectrum.inverse(tol)
-    e, tau = p.E, p.tau
-    r1 = float(np.max(np.abs(q.A - tau * e.T @ a_inv @ e)))
-    m = tau * e.T @ a_inv
-    r2 = float(np.max(np.abs((m + np.eye(p.dim)) @ q.b - (p.w + m @ p.c))))
-    diff = p.c - q.b
-    gamma_expected = (p.beta + 0.5 * tau * float(diff @ a_inv @ diff)) / (tau + 1.0)
-    r3 = abs(q.gamma - gamma_expected)
-    root = np.sqrt(tau) * a_inv @ e
-    r4 = float(np.max(np.abs(root @ root - np.eye(p.dim))))
-    return report_from_residuals([r1, r2, r3, r4])
+    s = p.tau * p.E.T @ a_inv
+    m, rhs = _slope_system(p, s)
+    r1 = float(np.max(np.abs(q.A - s @ p.E)))
+    r2 = float(np.max(np.abs(m @ q.b - rhs)))
+    r3 = abs(q.gamma - _constant(p, a_inv, q.b))
+    return report_from_residuals([r1, r2, r3])
 
 
 def x0_point(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -450,14 +427,14 @@ def functional_differential_residual(
     return report_from_residuals(residuals, pts)
 
 
-def quarter_turn_params(beta: float = 0.0) -> TransformParams:
-    """Planar rotation parameters (x1, x2) -> (x2, -x1) with tau = 1, c = w = 0."""
+def quarter_turn_params() -> TransformParams:
+    """Planar rotation parameters (x1, x2) -> (x2, -x1) with tau = 1, c = w = 0, beta = 0."""
     return TransformParams(
         E=np.array([[0.0, 1.0], [-1.0, 0.0]]),
         c=np.zeros(2),
         w=np.zeros(2),
         tau=1.0,
-        beta=beta,
+        beta=0.0,
     )
 
 

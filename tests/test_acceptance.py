@@ -112,7 +112,7 @@ def test_criterion_02_positive_definite_soundness():
     for p, sol in pd_corpus():
         pts = sample_points(p.dim, 100, seed=1)
         worst_resid = max(worst_resid, transform_residual(p, sol, pts).max_abs)
-        form = verify_form_quadratic(p, sol)  # includes the square-root identity
+        form = verify_form_quadratic(p, sol)  # all three coefficient relations
         worst_form = max(worst_form, form.max_abs)
         all_convex = all_convex and is_strictly_convex(sol)
     elapsed = time.monotonic() - started

@@ -202,6 +202,17 @@ class TestVerifyCommand:
         assert result["residual"]["maxAbs"] <= 1e-12
         assert result["formResidual"]["maxAbs"] <= 1e-12
 
+    def test_quarter_turn_candidate(self, tmp_path):
+        # a rotation E is not symmetric; A = diag(2, 0.5) is one of its many
+        # exact quadratic fixed points
+        payload = identity_config(e=[[0.0, 1.0], [-1.0, 0.0]])
+        payload["candidate"] = {"quadratic": {"A": [[2.0, 0.0], [0.0, 0.5]], "b": [0.0, 0.0]}}
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        out = tmp_path / "report.json"
+        assert run(tmp_path, "verify", "--config", cfg, "--out", str(out)) == 0
+        form = json.loads(out.read_text())["result"]["formResidual"]
+        assert form["maxAbs"] <= 1e-12 and form["samplePoints"] == 3
+
     def test_sampled_candidate(self, tmp_path):
         xs = np.round(np.arange(-5.0, 5.0 + 1e-9, 0.01), 10)
         payload = {
@@ -252,8 +263,23 @@ class TestVerifyCommand:
             ({"points": None}, "bad option 'points'"),
             ({"points": 0}, "bad option 'points': must be at least 1"),
             ({"windw": [-4.0, 4.0]}, "unknown option 'windw'"),
+            ({"radius": 0}, "bad option 'radius': must be positive and finite"),
+            ({"radius": -2}, "bad option 'radius': must be positive and finite"),
+            ({"points": 2.7}, "bad option 'points': must be an integer"),
+            ({"points": True}, "bad option 'points': must be an integer"),
+            ({"seed": 1.5}, "bad option 'seed': must be an integer"),
         ],
-        ids=["options_not_object", "points_null", "points_zero", "unknown_key"],
+        ids=[
+            "options_not_object",
+            "points_null",
+            "points_zero",
+            "unknown_key",
+            "radius_zero",
+            "radius_negative",
+            "points_fractional",
+            "points_bool",
+            "seed_fractional",
+        ],
     )
     def test_bad_options_exit_two(self, tmp_path, capsys, options, key):
         payload = identity_config()

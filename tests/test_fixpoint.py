@@ -27,7 +27,6 @@ from fenchelfix import (
     lower_envelope,
     quarter_turn_params,
     sample_points,
-    self_adjoint_system,
     shift_equation_residual,
     skew_solution,
     solve_lql,
@@ -78,6 +77,22 @@ class TestSolvePositiveDefinite:
             assert transform_residual(p, sol, pts).max_abs <= 1e-8
             assert is_strictly_convex(sol)
 
+    def test_constant_against_mpmath(self):
+        # gamma of the closed form at 50 digits, from A = sqrt(tau) E and
+        # b = (w + sqrt(tau) c) / (1 + sqrt(tau)) in exact arithmetic
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(50):
+            for p, sol in pd_corpus():
+                rt, tau = mpmath.sqrt(p.tau), mpmath.mpf(p.tau)
+                c, w = mpmath.matrix(p.c.tolist()), mpmath.matrix(p.w.tolist())
+                diff = c - (w + rt * c) / (1 + rt)
+                a = rt * (mpmath.matrix(p.E.tolist()) + mpmath.matrix(p.E.T.tolist())) / 2
+                quad = (diff.T * mpmath.lu_solve(a, diff))[0]
+                gamma = (p.beta + tau / 2 * quad) / (1 + tau)
+                worst = max(worst, float(abs(sol.gamma - gamma) / (1 + abs(gamma))))
+        assert worst <= 6 * np.finfo(float).eps
+
 
 class TestSolveSelfAdjoint:
     def test_mixed_signs_give_energy(self):
@@ -90,7 +105,7 @@ class TestSolveSelfAdjoint:
     def test_inconsistent_slope_system(self):
         p = TransformParams([[-1.0]], [0.0], [1.0], 1.0, 0.0)
         assert solve_self_adjoint(p) is None
-        _, m, rhs = self_adjoint_system(p)
+        m, rhs = fixpoint._slope_system(p, -np.eye(1))  # S = sqrt(tau) sign(E)
         assert np.allclose(m, 0.0) and rhs[0] == pytest.approx(1.0)
 
     def test_sign_flip_without_linear_term(self):
@@ -121,11 +136,36 @@ class TestVerifyFormQuadratic:
     def test_energy_identity_is_exact(self):
         assert verify_form_quadratic(identity_params(), energy(2)).max_abs == 0.0
 
-    def test_perturbed_leading_coefficient_is_flagged(self, rng):
+    @pytest.mark.parametrize("coefficient", ["A", "b", "gamma"])
+    def test_perturbed_leading_coefficient_is_flagged(self, rng, coefficient):
         p = random_pd_instance(rng)
         sol = solve_positive_definite(p)
-        spoiled = QuadraticFn(sol.A + 0.1 * np.eye(p.dim), sol.b, sol.gamma)
+        spoiled = QuadraticFn(
+            sol.A + 0.1 * np.eye(p.dim) if coefficient == "A" else sol.A,
+            sol.b + 0.1 if coefficient == "b" else sol.b,
+            sol.gamma + 0.1 if coefficient == "gamma" else sol.gamma,
+        )
         assert verify_form_quadratic(p, spoiled).max_abs > 0.05
+
+    @pytest.mark.parametrize(
+        "b_matrix",
+        [np.eye(2), np.diag([2.0, 0.5]), np.array([[2.0, 1.0], [1.0, 1.0]])],
+        ids=["identity", "diag", "coupled"],
+    )
+    def test_quarter_turn_solutions_are_clean(self, b_matrix):
+        # non-symmetric E: (sqrt(tau) A^{-1} E)^2 = -I here, so a relation
+        # that holds only for symmetric E would read 2
+        form = verify_form_quadratic(quarter_turn_params(), skew_solution(b_matrix))
+        assert form.max_abs <= 1e-12 and form.sample_points == 3
+
+    def test_scaled_rotation_solution_is_clean(self):
+        # E = r R(theta) has the fixed point A = sqrt(tau) r I
+        t = 0.7
+        e = 2.0 * np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        p = TransformParams(e, np.zeros(2), np.zeros(2), 1.5, 0.0)
+        q = QuadraticFn(np.sqrt(6.0) * np.eye(2), np.zeros(2), 0.0)
+        assert transform_residual(p, q, sample_points(2, 100)).max_rel <= 1e-14
+        assert verify_form_quadratic(p, q).max_abs <= 1e-12
 
 
 class TestClassify:

@@ -12,8 +12,8 @@ from fenchelfix import (
     definiteness,
     eigendecompose,
     invert,
-    self_adjoint_system,
     solve_min_norm,
+    solve_self_adjoint,
 )
 from fenchelfix.linalg import is_singular
 
@@ -176,16 +176,17 @@ class TestGradedAccuracy:
 
 def abs_and_sign(e, tau=1.0):
     """(sqrt(tau)|E|, sqrt(tau) sign(E)) as the self-adjoint construction
-    builds them: its A and its M - I."""
+    builds them with c = w = 0: its A and S = tau E A^{-1}."""
     e = np.asarray(e, dtype=float)
     n = e.shape[0]
-    a, m, _ = self_adjoint_system(TransformParams(e, np.zeros(n), np.zeros(n), tau, 0.0))
-    return a, m - np.eye(n)
+    a = solve_self_adjoint(TransformParams(e, np.zeros(n), np.zeros(n), tau, 0.0)).A
+    return a, tau * e @ invert(a)
 
 
 class TestMatrixFunctions:
     """The spectral absolute value and sign of a symmetric invertible E, read
-    off ``self_adjoint_system``: A = sqrt(tau)|E| and M - I = sqrt(tau) sign(E)."""
+    off ``solve_self_adjoint``: A = sqrt(tau)|E| and, with M = I + S the matrix
+    of its slope system, M - I = S = tau E A^{-1} = sqrt(tau) sign(E)."""
 
     def test_abs_diagonal(self):
         a, _ = abs_and_sign(np.diag([2.0, -3.0]))
