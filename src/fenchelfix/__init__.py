@@ -67,11 +67,9 @@ from .fixpoint import (
 )
 from .discrete import (
     SampledFn,
-    SampledFn2D,
     SignFlipSolution,
     biconjugate,
     brute_conjugate,
-    conjugate_2d_brute,
     fast_conjugate,
     fenchel_young_check,
     grid_fixed_point_residual,

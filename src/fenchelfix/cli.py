@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Callable, NamedTuple, Optional
@@ -43,7 +44,7 @@ def _load_config(path: str) -> dict:
             obj = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8 or an over-long integer
         raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("config root must be an object")
@@ -62,24 +63,37 @@ def _count(value) -> int:
     return int(value)
 
 
-def _radius(value) -> float:
-    if not 0.0 < float(value) < float("inf"):
-        raise ValueError("must be positive and finite")
-    return float(value)
+def _real(check: Callable[[float], bool], rule: str) -> Callable[[object], float]:
+    """Conversion of a JSON number (not a bool or a string) that passes ``check``."""
+    def convert(value) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not check(value):
+            raise ValueError(rule)
+        return float(value)
+    return convert
+
+
+_finite = _real(math.isfinite, "must be a finite number")
+_radius = _real(lambda x: 0.0 < x < math.inf, "must be positive and finite")
+_exclusion = _real(lambda x: 0.0 <= x < math.inf, "must be nonnegative and finite")
+_scale = _real(lambda x: 0.0 < x < math.inf, "tolerance scale must be positive and finite")
 
 
 def _window(value) -> Optional[tuple[float, float]]:
-    return None if value is None else (float(value[0]), float(value[1]))
+    if value is None:
+        return None
+    if not isinstance(value, list) or len(value) != 2 or not _finite(value[0]) < _finite(value[1]):
+        raise ValueError("must be [lo, hi] with lo < hi")
+    return float(value[0]), float(value[1])
 
 
 # run options: name -> (conversion, default)
 _OPTIONS = {
     "points": (_count, 100),
     "seed": (_integer, 0),
-    "tol_scale": (float, 1.0),
+    "tol_scale": (_scale, 1.0),
     "radius": (_radius, 3.0),
     "window": (_window, None),
-    "boundary_exclusion": (float, 0.0),
+    "boundary_exclusion": (_exclusion, 0.0),
 }
 
 
@@ -188,19 +202,20 @@ def cmd_verify(args, config: dict, opts: dict, tol: Tolerances) -> tuple[dict, i
     return result, EXIT_OK
 
 
+def _slopes(raw) -> np.ndarray:
+    """The ``slopes`` entry: a list, or ``{"start", "stop", "count"}`` for
+    evenly spaced slopes; either way finite and strictly increasing."""
+    try:
+        if isinstance(raw, dict):
+            raw = np.linspace(_finite(raw["start"]), _finite(raw["stop"]), _count(raw["count"]))
+        return discrete._check_grid(raw)
+    except (LookupError, OverflowError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad slopes: {exc}") from exc
+
+
 def cmd_conjugate(args, config: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
     fn = serialize.sampled_from_json(_require(config, "input", "config"))
-    slopes_cfg = _require(config, "slopes", "config")
-    if isinstance(slopes_cfg, dict):
-        try:
-            start = float(slopes_cfg["start"])
-            stop = float(slopes_cfg["stop"])
-            count = int(slopes_cfg["count"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad slopes entry: {exc}") from exc
-        slopes = np.linspace(start, stop, count)
-    else:
-        slopes = np.asarray(slopes_cfg, dtype=float)
+    slopes = _slopes(_require(config, "slopes", "config"))
     conj = discrete.fast_conjugate(fn, slopes)
     result = {"conjugate": serialize.sampled_to_json(conj)}
     if not args.check:
@@ -304,7 +319,7 @@ def _demo_nonexistence(opts: dict, tol: Tolerances) -> tuple[dict, bool]:
 
 
 def _demo_lql(opts: dict, tol: Tolerances) -> tuple[dict, bool]:
-    rng = np.random.default_rng(opts["seed"] + 20240)
+    rng = np.random.default_rng((opts["seed"] + 20240) % 2**64)  # any integer seed
     n = 4
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
     l_matrix = (basis * rng.uniform(0.5, 2.0, n)) @ basis.T
@@ -411,7 +426,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (FenchelFixError, ValueError) as exc:
+    except FenchelFixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # anything else is an internal failure

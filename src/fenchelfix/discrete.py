@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import AllInfinite, DimMismatch
+from .errors import AllInfinite, DimMismatch, Singular
 from .quadratic import TransformParams
 from .reports import ResidualReport, report_from_residuals
 
@@ -107,26 +107,6 @@ class SampledFn:
 
     def spacing(self) -> float:
         return float(np.max(np.diff(self.points))) if self.points.size > 1 else 0.0
-
-
-@dataclass(frozen=True)
-class SampledFn2D:
-    """Extended-real values on a tensor grid xs x ys, row-major in xs."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        xs = _owned(_check_grid(self.xs), self.xs)
-        ys = _owned(_check_grid(self.ys), self.ys)
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (xs.size, ys.size):
-            raise DimMismatch("2-D values must have shape (len(xs), len(ys))")
-        _check_values(v.ravel(), v.size)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "values", _owned(v, self.values))
 
 
 def sample(fn: Callable[[float], float], points) -> SampledFn:
@@ -439,26 +419,6 @@ def biconjugate(f: SampledFn) -> SampledFn:
     return SampledFn(f.points, _frozen(out))
 
 
-def conjugate_2d_brute(f: SampledFn2D, slopes_x, slopes_y) -> SampledFn2D:
-    """Exact 2-D grid conjugate: max of <s, x> - f(x) over all finite nodes.
-
-    Quadratic cost in both grid and slope sizes; meant for small
-    verification grids only.
-    """
-    sx = _check_grid(slopes_x)
-    sy = _check_grid(slopes_y)
-    xi, yi = np.nonzero(np.isfinite(f.values))
-    px = f.xs[xi]
-    py = f.ys[yi]
-    pv = f.values[xi, yi]
-    out = np.empty((sx.size, sy.size))
-    for a in range(sx.size):
-        ax = sx[a] * px - pv
-        for b in range(sy.size):
-            out[a, b] = np.max(ax + sy[b] * py)
-    return SampledFn2D(sx, sy, _frozen(out))
-
-
 # ---------------------------------------------------------------------------
 # The one-dimensional solution family of the sign-flip equation f(x) = f*(-x)
 
@@ -488,16 +448,17 @@ class SignFlipSolution:
         elif self.lam is not None:
             raise ValueError(f"{self.kind} takes no lam parameter")
 
-    def __call__(self, x: float) -> float:
-        return float(self.values(np.array([float(x)]))[0])
+    def __call__(self, x) -> float:
+        return float(self.values(np.asarray(x, dtype=float).reshape(1))[0])
 
     def values(self, xs) -> np.ndarray:
         """Values at the nodes of a 1-D array, in one array pass.
 
-        ``__call__`` evaluates a one-element array here, so a point value
-        and an array value come from the same expressions bit for bit
-        (``np.log`` and ``math.log`` can differ in the last bit).  A square
-        that overflows is +inf, as in Python float arithmetic.
+        ``__call__`` evaluates its point (a float or a length-1 array) as a
+        one-element array here, so a point value and an array value come
+        from the same expressions bit for bit (``np.log`` and ``math.log``
+        can differ in the last bit).  A square that overflows is +inf, as in
+        Python float arithmetic.
         """
         t = np.asarray(xs, dtype=float)
         if t.ndim != 1:
@@ -544,7 +505,7 @@ def grid_fixed_point_residual(
         raise DimMismatch("grid residuals need scalar transform parameters")
     e = float(p.E[0, 0])
     if e == 0.0:
-        raise ValueError("e must be nonzero")
+        raise Singular("e must be nonzero")
     c = float(p.c[0])
     w = float(p.w[0])
 

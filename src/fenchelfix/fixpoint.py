@@ -226,10 +226,14 @@ def _rows(p: TransformParams, points: Iterable) -> np.ndarray:
 
 def _values(f: Callable[[np.ndarray], float], pts: np.ndarray) -> np.ndarray:
     """Values of f at the rows of pts: one array pass for a quadratic, one
-    call per row for any other callable."""
+    call per row for any other callable, which must return a float or a
+    size-1 array."""
     if isinstance(f, QuadraticFn):
         return f.values(pts)
-    return np.array([f(x) for x in pts], dtype=float)
+    out = [np.asarray(f(x), dtype=float) for x in pts]
+    if any(v.size != 1 for v in out):
+        raise DimMismatch("a checked function must return one value per point")
+    return np.array([v.item() for v in out])
 
 
 def transform_residual(

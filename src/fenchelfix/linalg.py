@@ -84,7 +84,7 @@ class Spectral(NamedTuple):
         return float(np.min(self.eigenvalues)) > tol.pd
 
     def psd(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return float(np.min(self.eigenvalues)) >= -tol.psd
+        return float(np.min(self.eigenvalues)) >= -tol.pd
 
     def inverse(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """U diag(1/d) U^T, for a decomposition that is not singular."""

@@ -39,6 +39,8 @@ class QuadraticFn:
     def __post_init__(self):
         a = linalg.as_symmetric(self.A)
         b = linalg.as_vector(self.b, a.shape[0])
+        if not -np.inf < float(self.gamma) < np.inf:
+            raise ValueError("gamma must be finite")
         object.__setattr__(self, "A", _frozen_array(a))
         object.__setattr__(self, "b", _frozen_array(b))
         object.__setattr__(self, "gamma", float(self.gamma))
@@ -71,10 +73,6 @@ class QuadraticFn:
             raise ValueError("point entries must be finite")
         return 0.5 * np.einsum("ij,ij->i", x @ self.A, x) + x @ self.b + self.gamma
 
-    def gradient(self, x) -> np.ndarray:
-        v = linalg.as_vector(x, self.dim)
-        return self.A @ v + self.b
-
 
 def energy(dim: int) -> QuadraticFn:
     """The normalized energy function 1/2 ||x||^2, the self-conjugate quadratic."""
@@ -95,8 +93,8 @@ class TransformParams:
         e = linalg.as_matrix(self.E)
         c = linalg.as_vector(self.c, e.shape[0])
         w = linalg.as_vector(self.w, e.shape[0])
-        if not float(self.tau) > 0.0:
-            raise ValueError("tau must be positive")
+        if not (0.0 < float(self.tau) < np.inf and -np.inf < float(self.beta) < np.inf):
+            raise ValueError("tau must be positive and finite, and beta finite")
         object.__setattr__(self, "E", _frozen_array(e))
         object.__setattr__(self, "c", _frozen_array(c))
         object.__setattr__(self, "w", _frozen_array(w))

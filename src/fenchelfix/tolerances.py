@@ -20,10 +20,9 @@ class Tolerances:
     #: singularity cutoff: a matrix is singular when its smallest |eigenvalue|
     #: (symmetric) or singular value (general) is <= sing_rel * max(1, largest)
     sing_rel: float = 1e-10
-    #: eigenvalue threshold separating definite from semidefinite
+    #: definiteness band for both the definite and the semidefinite checks:
+    #: eigenvalues within pd of zero count as zero
     pd: float = 1e-10
-    #: most negative eigenvalue tolerated in PSD checks
-    psd: float = 1e-10
     #: linear-system consistency, relative: ||Mx - rhs|| <= cons_rel * (1 + ||rhs||)
     cons_rel: float = 1e-8
     #: gate for the involution precondition ||Q^2 - I||_max

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fenchelfix
-from fenchelfix import cli, discrete
+from fenchelfix import cli, discrete, fixpoint
 from fenchelfix.cli import main
 
 
@@ -117,6 +117,22 @@ class TestClassifyCommand:
         cfg = write_config(tmp_path, "cfg.json", identity_config())
         assert run(tmp_path, "classify", "--config", cfg, "--out", str(tmp_path / "r.json")) == 4
         assert "internal error" in capsys.readouterr().err
+
+    def test_internal_value_error_exit_four(self, tmp_path, monkeypatch, capsys):
+        # a ValueError from inside the library is not an input error
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(fixpoint, "classify", boom)
+        cfg = write_config(tmp_path, "cfg.json", identity_config())
+        assert run(tmp_path, "classify", "--config", cfg, "--out", str(tmp_path / "r.json")) == 4
+        assert "internal error: ValueError('boom')" in capsys.readouterr().err
+
+    def test_undecodable_config_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"params": "\xff"}')
+        assert run(tmp_path, "classify", "--config", str(path)) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
 
     def test_reports_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", identity_config(tau=2.0))
@@ -252,6 +268,15 @@ class TestVerifyCommand:
         assert run(tmp_path, "verify", "--config", cfg, "--out", str(out)) == 0
         assert json.loads(out.read_text())["result"]["residual"]["maxAbs"] == 0.0
 
+    def test_sampled_candidate_zero_e_exit_two(self, tmp_path, capsys):
+        payload = {
+            "params": {"E": [[0.0]], "c": [0.0], "w": [0.0], "tau": 1.0},
+            "candidate": {"sampled": {"points": [0.0, 1.0], "values": [0.0, 0.5]}},
+        }
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        assert run(tmp_path, "verify", "--config", cfg, "--out", str(tmp_path / "r.json")) == 2
+        assert "error: e must be nonzero" in capsys.readouterr().err
+
     def test_missing_candidate_exit_two(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", identity_config())
         assert run(tmp_path, "verify", "--config", cfg) == 2
@@ -268,6 +293,17 @@ class TestVerifyCommand:
             ({"points": 2.7}, "bad option 'points': must be an integer"),
             ({"points": True}, "bad option 'points': must be an integer"),
             ({"seed": 1.5}, "bad option 'seed': must be an integer"),
+            ({"radius": True}, "bad option 'radius': must be positive and finite"),
+            ({"radius": "3"}, "bad option 'radius': must be positive and finite"),
+            ({"tol_scale": True}, "bad option 'tol_scale': tolerance scale must be positive"),
+            ({"tol_scale": 0}, "bad option 'tol_scale': tolerance scale must be positive"),
+            ({"boundary_exclusion": -1}, "bad option 'boundary_exclusion': must be nonnegative"),
+            ({"boundary_exclusion": False}, "bad option 'boundary_exclusion': must be nonnegative"),
+            ({"window": [-1, 1, 7]}, "bad option 'window': must be [lo, hi] with lo < hi"),
+            ({"window": [1, -1]}, "bad option 'window': must be [lo, hi] with lo < hi"),
+            ({"window": 1}, "bad option 'window': must be [lo, hi] with lo < hi"),
+            ({"window": [-1, True]}, "bad option 'window': must be a finite number"),
+            ({"window": [-float("inf"), 1]}, "bad option 'window': must be a finite number"),
         ],
         ids=[
             "options_not_object",
@@ -279,6 +315,17 @@ class TestVerifyCommand:
             "points_fractional",
             "points_bool",
             "seed_fractional",
+            "radius_bool",
+            "radius_string",
+            "tol_scale_bool",
+            "tol_scale_zero",
+            "exclusion_negative",
+            "exclusion_bool",
+            "window_three",
+            "window_reversed",
+            "window_number",
+            "window_bool",
+            "window_infinite",
         ],
     )
     def test_bad_options_exit_two(self, tmp_path, capsys, options, key):
@@ -368,6 +415,45 @@ class TestConjugateCommand:
         assert json.loads(out.read_text())["result"]["oracleCheck"] == "MISMATCH"
         assert "conjugate: oracle mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "slopes, key",
+        [
+            ({"start": -1.0, "stop": 1.0, "count": 2.7}, "must be an integer"),
+            ({"start": -1.0, "stop": 1.0, "count": True}, "must be an integer"),
+            ({"start": -1.0, "stop": 1.0, "count": 0}, "must be at least 1"),
+            ({"start": -1.0, "stop": 1.0, "count": float("inf")}, "cannot convert"),
+            ({"start": "-1", "stop": 1.0, "count": 3}, "must be a finite number"),
+            ({"start": -1.0, "stop": float("inf"), "count": 3}, "must be a finite number"),
+            ({"start": -1.0, "stop": 1.0}, "'count'"),
+            ({"start": 1.0, "stop": -1.0, "count": 3}, "strictly increasing"),
+            ([1.0, 0.0], "strictly increasing"),
+            ([0.0, float("nan")], "must be finite"),
+            (["a"], "could not convert"),
+        ],
+        ids=[
+            "count_fractional",
+            "count_bool",
+            "count_zero",
+            "count_infinite",
+            "start_string",
+            "stop_infinite",
+            "count_missing",
+            "start_after_stop",
+            "decreasing_list",
+            "nan_list",
+            "string_list",
+        ],
+    )
+    def test_bad_slopes_exit_two(self, tmp_path, capsys, slopes, key):
+        # a fractional or boolean count was truncated (2 slopes, 1 slope), and
+        # decreasing slopes reached main as a bare ValueError
+        payload = {"input": {"points": [0.0, 1.0], "values": [0.0, 1.0]}, "slopes": slopes}
+        cfg = write_config(tmp_path, "conj.json", payload)
+        assert run(tmp_path, "conjugate", "--config", cfg, "--out", str(tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert "error: bad slopes: " in err and key in err
+        assert "internal error" not in err
+
     def test_all_infinite_exit_two(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -389,6 +475,12 @@ class TestDemoCommand:
         assert run(tmp_path, "demo", "log", "--out", str(a)) == 0
         assert run(tmp_path, "demo", "log", "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_lql_demo_takes_a_negative_seed(self, tmp_path):
+        # numpy's generator rejects negative seeds; the demo reduces its seed
+        out = tmp_path / "lql.json"
+        assert run(tmp_path, "demo", "lql", "--seed", "-30000", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["result"]["passed"] is True
 
     def test_unknown_demo_exit_two(self, tmp_path):
         assert run(tmp_path, "demo", "bogus") == 2
@@ -436,7 +528,6 @@ class TestToleranceScaling:
             "involution",
             "param_match",
             "pd",
-            "psd",
             "sing_rel",
             "sym",
         ]
@@ -506,8 +597,11 @@ def test_cli_surface():
         assert (types["seed"], types["points"], types["tol_scale"]) == (int, int, float)
 
 
-def test_cli_import_does_not_load_hashlib():
-    code = "import sys, fenchelfix.cli; print('hashlib' in sys.modules)"
+@pytest.mark.parametrize("module", ["hashlib", "scipy", "mpmath", "fractions"])
+def test_cli_import_does_not_load_hashlib(module):
+    # scipy and mpmath are for tests and the bench only; Fraction is imported
+    # lazily, by the hull's last-resort predicate
+    code = f"import sys, fenchelfix.cli; print({module!r} in sys.modules)"
     src = os.path.dirname(os.path.dirname(fenchelfix.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(

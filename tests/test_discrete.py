@@ -10,12 +10,11 @@ from fenchelfix import (
     AllInfinite,
     DimMismatch,
     SampledFn,
-    SampledFn2D,
     SignFlipSolution,
+    Singular,
     TransformParams,
     biconjugate,
     brute_conjugate,
-    conjugate_2d_brute,
     conjugate_quadratic,
     direct_sum,
     energy,
@@ -277,6 +276,11 @@ class TestSignFlipFamily:
         assert rep.max_abs <= 2 * h
         assert rep.grid_h == pytest.approx(h)
 
+    def test_grid_residual_needs_nonzero_e(self):
+        f = SignFlipSolution("half_square").sample(uniform_grid(-1.0, 1.0, 0.5))
+        with pytest.raises(Singular, match="e must be nonzero"):
+            grid_fixed_point_residual(TransformParams([[0.0]], [0.0], [0.0], 1.0), f)
+
     def test_split_quadratic_point_values(self):
         # conjugate of the lam=2 split quadratic at slope -1 equals 1/4,
         # attained at x = -1/2; matches the sample value at x = 1
@@ -431,28 +435,6 @@ class TestSampledFnOwnsItsArrays:
         slopes[0] = -7.0
         assert f.points[0] == -1.0 and conj.points[0] == -1.0
 
-    def test_2d_inputs_are_copied(self):
-        xs = np.array([0.0, 1.0])
-        vals = np.zeros((2, 2))
-        g = SampledFn2D(xs, xs, vals)
-        assert xs.flags.writeable and vals.flags.writeable
-        vals[0, 0] = 9.0
-        assert g.values[0, 0] == 0.0
-
-    @pytest.mark.parametrize(
-        "vals, error",
-        [
-            ([[0.0, -np.inf], [0.0, 0.0]], ValueError),
-            ([[0.0, np.nan], [0.0, 0.0]], ValueError),
-            ([[np.inf, np.inf], [np.inf, np.inf]], AllInfinite),
-            ([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], DimMismatch),
-        ],
-        ids=["neg_inf", "nan", "all_inf", "shape"],
-    )
-    def test_2d_values_are_checked(self, vals, error):
-        with pytest.raises(error):
-            SampledFn2D([0.0, 1.0], [0.0, 1.0], vals)
-
     def test_library_outputs_are_shared_not_copied(self):
         f = SampledFn(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 5.0, 0.0]))
         assert not f.points.flags.writeable and not f.hull.flags.writeable
@@ -475,17 +457,17 @@ class TestHullOnce:
         np.testing.assert_array_equal(f.hull, [1, 3])
 
 
-class TestConjugate2D:
-    def test_energy_self_conjugate(self):
-        h = 0.1
-        xs = uniform_grid(-3.0, 3.0, h)
-        vals = 0.5 * (xs[:, None] ** 2 + xs[None, :] ** 2)
-        f = SampledFn2D(xs, xs, vals)
-        interior = uniform_grid(-2.0, 2.0, h)
-        star = conjugate_2d_brute(f, interior, interior)
-        expect = 0.5 * (interior[:, None] ** 2 + interior[None, :] ** 2)
-        assert np.max(np.abs(star.values - expect)) <= 2 * h
+def brute_conjugate_2d(xs, ys, vals, slopes_x, slopes_y):
+    """max of sx x + sy y - v over the finite nodes of the tensor grid
+    xs x ys (v = vals[i, j] at (xs[i], ys[j])), one row per sx."""
+    finite = np.isfinite(vals)
+    x = np.broadcast_to(xs[:, None], vals.shape)[finite]
+    y = np.broadcast_to(ys[None, :], vals.shape)[finite]
+    v = vals[finite]
+    return np.array([np.max(sx * x + slopes_y[:, None] * y - v, axis=1) for sx in slopes_x])
 
+
+class TestConjugate2D:
     def test_quadratic_against_closed_form(self):
         b = np.diag([2.0, 0.5])
         q = QuadraticFn(b, np.zeros(2), 0.0)
@@ -493,29 +475,11 @@ class TestConjugate2D:
         h = 0.05
         xs = uniform_grid(-4.0, 4.0, h)
         vals = 0.5 * (2.0 * xs[:, None] ** 2 + 0.5 * xs[None, :] ** 2)
-        f = SampledFn2D(xs, xs, vals)
         interior = uniform_grid(-1.5, 1.5, 0.25)
-        star = conjugate_2d_brute(f, interior, interior)
+        star = brute_conjugate_2d(xs, xs, vals, interior, interior)
         for i, sx in enumerate(interior):
             for j, sy in enumerate(interior):
-                assert star.values[i, j] == pytest.approx(qs(np.array([sx, sy])), abs=3 * h)
-
-    def test_quadrant_indicator_support_function(self):
-        full = uniform_grid(-5.0, 5.0, 0.5)
-        vals = np.zeros((full.size, full.size))
-        vals[full < 0.0, :] = np.inf
-        vals[:, full < 0.0] = np.inf
-        f = SampledFn2D(full, full, vals)
-        slopes = uniform_grid(-2.0, 2.0, 1.0)
-        star = conjugate_2d_brute(f, slopes, slopes)
-        for i, sx in enumerate(slopes):
-            for j, sy in enumerate(slopes):
-                if sx <= 0.0 and sy <= 0.0:
-                    assert star.values[i, j] == 0.0
-                else:
-                    assert star.values[i, j] == pytest.approx(
-                        5.0 * (max(sx, 0.0) + max(sy, 0.0))
-                    )
+                assert star[i, j] == pytest.approx(qs(np.array([sx, sy])), abs=3 * h)
 
     def test_direct_sum_solves_planar_sign_flip(self):
         # half_square on one axis, split quadratic on the other: the sum
@@ -526,14 +490,13 @@ class TestConjugate2D:
         xs = uniform_grid(-3.5, 3.5, h)
         ys = uniform_grid(-3.5, 6.5, h)
         vals = 0.5 * xs[:, None] ** 2 + np.array([member(y) for y in ys])[None, :]
-        f = SampledFn2D(xs, ys, vals)
         window = uniform_grid(-3.0, 3.0, h)
-        star = conjugate_2d_brute(f, window, window)
+        star = brute_conjugate_2d(xs, ys, vals, window, window)
         worst = 0.0
         for i, x1 in enumerate(window):
             for j, x2 in enumerate(window):
                 direct = ds(np.array([x1, x2]))
-                flipped = star.values[window.size - 1 - i, window.size - 1 - j]
+                flipped = star[window.size - 1 - i, window.size - 1 - j]
                 worst = max(worst, abs(direct - flipped))
         assert worst <= 2 * h
 

@@ -5,6 +5,7 @@ from conftest import random_indefinite_matrix, random_orthogonal, random_pd_inst
 from test_acceptance import pd_corpus
 from fenchelfix import (
     DEFAULT_TOL,
+    SignFlipSolution,
     BadDeterminant,
     DimMismatch,
     NotInvolution,
@@ -382,6 +383,24 @@ class TestResiduals:
         rep = functional_eq_residual(p, energy(2), "SelfAdjoint", pts)
         assert rep.max_abs == pytest.approx(1.0, abs=1e-12)
         assert rep.mean_abs == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("variant", ["Tsquared", "General"])
+    @pytest.mark.parametrize(
+        "f",
+        [SignFlipSolution("half_square"), lambda x: 0.5 * x * x],
+        ids=["sign_flip", "lambda"],
+    )
+    def test_functional_eq_one_dim_callables(self, f, variant):
+        # both evaluate the (1,) rows of a 1-D scan: the first raised
+        # TypeError, the second returned (1,) arrays that broadcast to K x K
+        p = TransformParams([[-1.0]], [0.0], [0.0], 1.0, 0.0)
+        rep = functional_eq_residual(p, f, variant, sample_points(1, 5, seed=2))
+        assert (rep.max_abs, rep.sample_points) == (0.0, 5)
+
+    def test_functional_eq_rejects_two_values_per_point(self):
+        p = TransformParams([[-1.0]], [0.0], [0.0], 1.0, 0.0)
+        with pytest.raises(DimMismatch, match="one value per point"):
+            functional_eq_residual(p, lambda x: np.array([1.0, 2.0]), "General", [[0.5]])
 
     def test_functional_eq_rejects_unknown_variant_before_inverting(self, monkeypatch):
         p = TransformParams(np.diag([1.0, 0.0]), np.zeros(2), np.zeros(2), 2.0, 0.0)

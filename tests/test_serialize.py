@@ -43,3 +43,22 @@ def test_bad_inputs_raise_parse_error():
         params_from_json({"E": [[1.0]], "c": [0.0]})
     with pytest.raises(ParseError):
         sampled_from_json({"points": [0.0, 1.0], "values": ["oops", 1.0]})
+
+
+ONE_DIM = {"E": [[1.0]], "c": [0.0], "w": [0.0]}
+
+
+@pytest.mark.parametrize(
+    "parse, obj, message",
+    [
+        (params_from_json, {**ONE_DIM, "tau": float("inf")}, "tau must be positive and finite"),
+        (params_from_json, {**ONE_DIM, "tau": 1.0, "beta": float("nan")}, "beta finite"),
+        (quadratic_from_json, {"A": [[1.0]], "b": [0.0], "gamma": float("inf")}, "gamma must be"),
+    ],
+    ids=["tau_infinite", "beta_nan", "gamma_infinite"],
+)
+def test_non_finite_scalars_raise_parse_error(parse, obj, message):
+    # each ran: an infinite tau failed inside the construction, and an
+    # infinite beta or gamma gave NaN residuals with exit 0
+    with pytest.raises(ParseError, match=message):
+        parse(obj)
