@@ -1,14 +1,14 @@
 """Batch front door: classify / solve / verify / conjugate / demo.
 
 One process per invocation, config in, JSON report out.  Every command runs
-through one pipeline, ``_run``: load the config (``demo`` has none), parse
-the options and tolerances once, call the command's handler from
-``_COMMANDS``, and write the report shell with the handler's result.  ``solve``
-reports what ``classify``'s case analysis constructs.  Reports are byte
-identical for identical config and seed; wall time goes to stderr so it
-never perturbs the report stream.  Exit codes: 0 determinate outcome,
-2 input error, 3 undetermined classification, 4 internal failure (a failed
-demo or oracle check included).
+through one pipeline, ``_run``: check that ``--out`` can be written, load the
+config (``demo`` has none), parse the options and tolerances once, call the
+command's handler from ``_COMMANDS``, and write the report shell with the
+handler's result.  ``solve`` reports what ``classify``'s case analysis
+constructs.  Reports are byte identical for identical config and seed; wall
+time goes to stderr so it never perturbs the report stream.  Exit codes:
+0 determinate outcome, 2 input error, 3 undetermined classification,
+4 internal failure (a failed demo or oracle check included).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from typing import Callable, NamedTuple, Optional
@@ -119,6 +120,16 @@ def _options(config: dict, args) -> dict:
 
 def _scan_points(p: TransformParams, opts: dict) -> np.ndarray:
     return sample_points(p.dim, opts["points"], radius=opts["radius"], seed=opts["seed"])
+
+
+def _check_writable(out: Optional[str]) -> None:
+    """Fail before any work when the report could not be written to ``out``."""
+    if not out:
+        return
+    folder = os.path.dirname(os.path.abspath(out))
+    target = out if os.path.exists(out) else folder
+    if os.path.isdir(out) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+        raise ParseError(f"cannot write the report to {out}")
 
 
 def _write_report(report: dict, out: Optional[str]) -> None:
@@ -407,6 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     """Load, parse options and tolerances, run the handler, write the report."""
     command = _COMMANDS[args.command]
+    _check_writable(args.out)
     config = _load_config(args.config) if command.needs_config else {}
     opts = _options(config, args)
     tol = DEFAULT_TOL.scaled(opts["tol_scale"])

@@ -8,12 +8,15 @@ the exact maximum of ``s*x_i - f(x_i)`` over finite nodes — no interpolation.
 one core: the merge step of Lucet's linear-time Legendre transform over the
 lower convex hull, which ``SampledFn.hull`` builds once per function.  It
 must agree with the oracle bit for bit; both return +0.0 for a zero maximum.
-``biconjugate`` interpolates over the same hull.
+The core visits its slopes in ascending order, ``_CHUNK`` at a time, so its
+searches walk the hull forward and its temporaries stay chunk-sized; each
+value goes back to its slope's position.  ``biconjugate`` interpolates over
+the same hull.
 
 A ``SampledFn`` owns read-only arrays: a writeable input is copied, an
 array that is already read-only is shared.  ``sample`` evaluates a
 ``SignFlipSolution`` in one array pass and calls any other callable once
-per node.
+per node, with a Python ``float``.
 
 Accuracy caveats: the discrete conjugate understates the true conjugate at
 slopes outside the range achievable on the grid, so verification grids are
@@ -113,12 +116,13 @@ def sample(fn: Callable[[float], float], points) -> SampledFn:
     """Sample a scalar function on a grid (it may return +inf).
 
     A ``SignFlipSolution`` is evaluated in one array pass through its
-    ``values``; any other callable is called once per node.
+    ``values``; any other callable is called once per node with the node as
+    a Python ``float``, whose arithmetic is faster than numpy scalars'.
     """
     p = _check_grid(points)
     if isinstance(fn, SignFlipSolution):
         return SampledFn(p, _frozen(fn.values(p)))
-    return SampledFn(p, _frozen(np.array([float(fn(x)) for x in p])))
+    return SampledFn(p, _frozen(np.array([float(fn(x)) for x in p.tolist()])))
 
 
 def uniform_grid(lo: float, hi: float, h: float) -> np.ndarray:
@@ -151,7 +155,7 @@ _CCW_BOUND = (3.0 + 16.0 * _EPS) * _EPS  # Shewchuk's orient2d error bound
 _TINY = 2.0**-900  # products below this may have lost bits to underflow
 _HUGE = 2.0**995  # Dekker's split of anything larger can overflow
 _SPLITTER = 2.0**27 + 1.0
-_CHUNK = 1 << 15  # predicate elements per pass over the arrays
+_CHUNK = 1 << 15  # predicate elements or conjugate slopes per pass over the arrays
 _PROBES = 1024  # predicate elements per search step, shared by its rows
 
 
@@ -369,20 +373,38 @@ def _conjugate_at(f: SampledFn, s: np.ndarray) -> np.ndarray:
     for slope s is the hull vertex whose two edge slopes bracket s, found by
     ``searchsorted``.  Rounded edge slopes can misplace it by one, so the
     max is taken exactly over that vertex and its two neighbours, with the
-    oracle's expression.  Equal maxima are equal bits, except zeros, which
-    are made +0.0 on both routes.
+    oracle's expression.  An edge slope that overflows (nodes a subnormal
+    apart) is infinite, which only moves the search by one.  Equal maxima
+    are equal bits, except zeros, which are made +0.0 on both routes.
+
+    The slopes are visited in ascending order, ``_CHUNK`` at a time, and
+    each value goes back to the slope's position: the searches then walk
+    the edge slopes forward, and the temporaries stay chunk-sized.  A
+    value depends only on its slope, so the order changes no bit.
     """
     if not np.all(np.isfinite(s)):
         raise ValueError("slopes must be finite")
     hx = f.points[f.hull]
     hv = f.values[f.hull]
-    j = np.searchsorted(np.diff(hv) / np.diff(hx), s)
-    out = s * hx[j] - hv[j]
-    k = np.maximum(j - 1, 0)
-    np.maximum(out, s * hx[k] - hv[k], out=out)
-    np.minimum(j + 1, hx.size - 1, out=j)
-    np.maximum(out, s * hx[j] - hv[j], out=out)
-    out += 0.0
+    edges = np.diff(hv)
+    widths = np.diff(hx)
+    with np.errstate(over="ignore"):
+        edges /= widths
+    del widths
+    top = hx.size - 1
+    out = np.empty(s.size)
+    order = np.argsort(s)
+    for i in range(0, s.size, _CHUNK):
+        at = order[i : i + _CHUNK]
+        sc = s[at]
+        j = np.searchsorted(edges, sc)
+        v = sc * hx[j] - hv[j]
+        k = np.maximum(j - 1, 0)
+        np.maximum(v, sc * hx[k] - hv[k], out=v)
+        np.minimum(j + 1, top, out=j)
+        np.maximum(v, sc * hx[j] - hv[j], out=v)
+        v += 0.0
+        out[at] = v
     return out
 
 
@@ -390,9 +412,10 @@ def fast_conjugate(f: SampledFn, slopes) -> SampledFn:
     """Linear-time conjugate via the lower convex hull.
 
     The hull comes from ``f.hull`` (built once per function) and each slope
-    costs one binary search over its edge slopes plus an exact three-vertex
-    max.  Values come from the same expression the oracle uses and a zero
-    maximum is +0.0 on both routes, so the two are bitwise equal.
+    costs one search over its edge slopes, in ascending order, plus an
+    exact three-vertex max.  Values come from the same expression the
+    oracle uses and a zero maximum is +0.0 on both routes, so the two are
+    bitwise equal.
     """
     s = _check_grid(slopes)
     return SampledFn(s, _frozen(_conjugate_at(f, s)))
@@ -408,13 +431,23 @@ def biconjugate(f: SampledFn) -> SampledFn:
     hx = f.points[f.hull]
     hv = f.values[f.hull]
     x = f.points
-    seg = np.clip(np.searchsorted(hx, x, "right") - 1, 0, max(hx.size - 2, 0))
-    nxt = np.minimum(seg + 1, hx.size - 1)
+    # each node's segment: the count of hull vertices at or left of it, less one
+    seg = np.zeros(x.size, dtype=np.intp)
+    seg[f.hull] = 1
+    np.cumsum(seg, out=seg)
+    seg -= 1
+    np.clip(seg, 0, max(hx.size - 2, 0), out=seg)
+    nxt = seg + 1
+    np.minimum(nxt, hx.size - 1, out=nxt)
     with np.errstate(invalid="ignore", divide="ignore"):  # one vertex: no chord
-        t = (x - hx[seg]) / (hx[nxt] - hx[seg])
-        chord = hv[seg] + t * (hv[nxt] - hv[seg])
-    out = np.where(f.values < chord, f.values, chord)
-    out[(x < hx[0]) | (x > hx[-1])] = INF
+        t = x - hx[seg]
+        t /= hx[nxt] - hx[seg]
+        out = hv[nxt] - hv[seg]
+        out *= t
+        out += hv[seg]
+    np.copyto(out, f.values, where=f.values < out)
+    out[: f.hull[0]] = INF
+    out[f.hull[-1] + 1 :] = INF
     out[f.hull] = hv
     return SampledFn(f.points, _frozen(out))
 
@@ -518,15 +551,25 @@ def grid_fixed_point_residual(
         mask &= (f.points - fin[0] >= boundary_exclusion) & (
             fin[-1] - f.points >= boundary_exclusion
         )
-    idx = np.nonzero(mask)[0]
-    if idx.size == 0:
+    if not mask.any():
         raise AllInfinite("no finite nodes to check in the requested window")
 
-    xs = f.points[idx]
-    star = _conjugate_at(f, e * xs + c)
-    residuals = f.values[idx] - p.tau * star - w * xs - p.beta
-    rep = report_from_residuals(residuals, xs, grid_h=f.spacing())
-    return rep
+    # f(x) - tau f*(e x + c) - w x - beta with the same roundings, but in
+    # place, and with the nodes gathered again after the conjugate so that
+    # it runs beside one node-sized array, its slopes
+    s = f.points[mask]
+    s *= e
+    s += c
+    star = _conjugate_at(f, s)
+    del s
+    xs = f.points[mask]
+    residuals = f.values[mask]
+    star *= p.tau
+    residuals -= star
+    np.multiply(w, xs, out=star)
+    residuals -= star
+    residuals -= p.beta
+    return report_from_residuals(residuals, xs, grid_h=f.spacing())
 
 
 def fenchel_young_check(f: SampledFn, pairs: Sequence[Tuple[float, float]]) -> ResidualReport:
@@ -542,20 +585,35 @@ def fenchel_young_check(f: SampledFn, pairs: Sequence[Tuple[float, float]]) -> R
     xs = arr[:, 0]
     ss = arr[:, 1]
     snap = 1e-9 * max(1.0, f.spacing())
+    # the nearest node to each x (the right one on a tie) and its distance;
+    # the pair-sized arrays are reused and freed before the conjugate
     node = np.searchsorted(f.points, xs)
-    node = np.clip(node, 0, f.points.size - 1)
-    left = np.clip(node - 1, 0, f.points.size - 1)
-    node = np.where(
-        np.abs(f.points[left] - xs) < np.abs(f.points[node] - xs), left, node
-    )
-    if np.any(np.abs(f.points[node] - xs) > snap):
+    np.clip(node, 0, f.points.size - 1, out=node)
+    left = np.maximum(node - 1, 0)
+    dist = f.points[node]
+    dist -= xs
+    np.abs(dist, out=dist)
+    dist_left = f.points[left]
+    dist_left -= xs
+    np.abs(dist_left, out=dist_left)
+    np.copyto(node, left, where=dist_left < dist)
+    np.minimum(dist, dist_left, out=dist)
+    if np.any(dist > snap):
         raise ValueError("pair abscissae must be grid nodes")
-    if not np.all(np.isfinite(f.values[node])):
+    del left, dist, dist_left
+    fx = f.values[node]
+    del node
+    if not np.all(np.isfinite(fx)):
         raise ValueError("pair abscissae must be in the effective domain")
 
-    gaps = _conjugate_at(f, ss) + f.values[node] - ss * xs
+    # f*(s) + f(x) - s x, with the same roundings, in place
+    gaps = _conjugate_at(f, ss)
+    gaps += fx
+    np.multiply(ss, xs, out=fx)
+    gaps -= fx
     k = int(np.argmin(gaps))
-    violations = np.clip(-gaps, 0.0, None)
+    violations = np.negative(gaps)
+    np.clip(violations, 0.0, None, out=violations)
     return ResidualReport(
         max_abs=float(np.max(violations)),
         mean_abs=float(np.mean(violations)),

@@ -5,7 +5,9 @@ the string ``"inf"`` as the sentinel for +inf in sampled values.  Matrices
 travel as row-major nested arrays.  Field names are part of the report
 contract: tag / solution / x0 / note for classifications and maxAbs /
 meanAbs / samplePoints / worstPoint for residual reports (plus gridH,
-minGap and maxRel when the check sets them).
+minGap and maxRel when the check sets them).  A bool or a string is never
+read as a number, at any depth of an array; the ``"inf"`` sentinel is the
+one string a number field takes.
 """
 
 from __future__ import annotations
@@ -36,16 +38,38 @@ def _require(obj: dict, key: str, ctx: str) -> Any:
     return obj[key]
 
 
+def _numbers(raw, name: str) -> np.ndarray:
+    """A JSON number, or arrays of them nested to any depth, as float64.
+
+    A bool or a string is never a number, at any depth: ``true`` and
+    ``"2"`` would otherwise read as 1.0 and 2.0.
+    """
+    stack = [raw]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{name} must hold numbers only, not {v!r}")
+    return np.asarray(raw, dtype=float)
+
+
+def _number(raw, name: str) -> float:
+    if isinstance(raw, list):
+        raise ValueError(f"{name} must be a number")
+    return float(_numbers(raw, name))
+
+
 def params_from_json(obj: dict) -> TransformParams:
     try:
         return TransformParams(
-            E=np.asarray(_require(obj, "E", "params"), dtype=float),
-            c=np.asarray(_require(obj, "c", "params"), dtype=float),
-            w=np.asarray(_require(obj, "w", "params"), dtype=float),
-            tau=float(_require(obj, "tau", "params")),
-            beta=float(obj.get("beta", 0.0)),
+            E=_numbers(_require(obj, "E", "params"), "E"),
+            c=_numbers(_require(obj, "c", "params"), "c"),
+            w=_numbers(_require(obj, "w", "params"), "w"),
+            tau=_number(_require(obj, "tau", "params"), "tau"),
+            beta=_number(obj.get("beta", 0.0), "beta"),
         )
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"bad transform parameters: {exc}") from exc
 
 
@@ -56,11 +80,11 @@ def quadratic_to_json(q: QuadraticFn) -> dict:
 def quadratic_from_json(obj: dict) -> QuadraticFn:
     try:
         return QuadraticFn(
-            A=np.asarray(_require(obj, "A", "quadratic"), dtype=float),
-            b=np.asarray(_require(obj, "b", "quadratic"), dtype=float),
-            gamma=float(obj.get("gamma", 0.0)),
+            A=_numbers(_require(obj, "A", "quadratic"), "A"),
+            b=_numbers(_require(obj, "b", "quadratic"), "b"),
+            gamma=_number(obj.get("gamma", 0.0), "gamma"),
         )
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"bad quadratic: {exc}") from exc
 
 
@@ -69,16 +93,10 @@ def _values_out(values: np.ndarray) -> list:
 
 
 def _values_in(raw, ctx: str) -> np.ndarray:
-    out = []
-    for v in raw:
-        if isinstance(v, str):
-            if v.strip().lower() in ("inf", "+inf", "infinity"):
-                out.append(INF)
-            else:
-                raise ParseError(f"bad value {v!r} in {ctx}")
-        else:
-            out.append(float(v))
-    return np.asarray(out, dtype=float)
+    sentinel = ("inf", "+inf", "infinity")
+    return _numbers(
+        [INF if isinstance(v, str) and v.strip().lower() in sentinel else v for v in raw], ctx
+    )
 
 
 def sampled_to_json(f: SampledFn) -> dict:
@@ -88,10 +106,10 @@ def sampled_to_json(f: SampledFn) -> dict:
 def sampled_from_json(obj: dict) -> SampledFn:
     try:
         return SampledFn(
-            points=np.asarray(_require(obj, "points", "sampled"), dtype=float),
+            points=_numbers(_require(obj, "points", "sampled"), "points"),
             values=_values_in(_require(obj, "values", "sampled"), "sampled values"),
         )
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"bad sampled function: {exc}") from exc
 
 

@@ -608,3 +608,80 @@ def test_cli_import_does_not_load_hashlib(module):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_conjugate_check_on_subnormal_spacing(tmp_path, capsys):
+    # an edge slope of -1 / 2.2e-311 overflows; it must not warn or mismatch
+    payload = {
+        "input": {"points": [0.0, 2.2e-311, 0.26, 2.97, 3.0], "values": [1.0, 0.0, 0.5, 1.0, 3.0]},
+        "slopes": {"start": -5.0, "stop": 5.0, "count": 41},
+    }
+    cfg = write_config(tmp_path, "conj.json", payload)
+    out = tmp_path / "out.json"
+    assert run(tmp_path, "conjugate", "--config", cfg, "--check", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["result"]["oracleCheck"] == "bitwise-equal"
+    assert "Warning" not in capsys.readouterr().err
+
+
+def test_unwritable_out_exit_two_before_any_work(tmp_path, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setitem(cli._DEMOS, "energy", never)
+    out = tmp_path / "missing" / "x.json"
+    assert run(tmp_path, "demo", "energy", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write the report to {out}" in err
+    assert not out.parent.exists()
+
+
+NOT_NUMBERS = {
+    "tau_string": ("params", "tau", "1e0"),
+    "tau_bool": ("params", "tau", True),
+    "beta_bool": ("params", "beta", False),
+    "beta_list": ("params", "beta", [0.0]),
+    "E_bool_and_string": ("params", "E", [[True, 0], [0, "2"]]),
+    "E_string": ("params", "E", [[1.0, 0.0], [0.0, "2"]]),
+    "c_bool": ("params", "c", [0.0, True]),
+    "w_string": ("params", "w", ["0", 0.0]),
+    "A_bool": ("quadratic", "A", [[True, 0.0], [0.0, 1.0]]),
+    "b_string": ("quadratic", "b", [0.0, "0"]),
+    "gamma_string": ("quadratic", "gamma", "0"),
+    "gamma_bool": ("quadratic", "gamma", True),
+}
+
+
+@pytest.mark.parametrize("where, key, value", NOT_NUMBERS.values(), ids=list(NOT_NUMBERS))
+def test_bools_and_strings_are_not_numbers(tmp_path, capsys, where, key, value):
+    payload = identity_config()
+    payload["candidate"] = {"quadratic": {"A": np.eye(2).tolist(), "b": [0.0, 0.0], "gamma": 0.0}}
+    target = payload["params"] if where == "params" else payload["candidate"]["quadratic"]
+    target[key] = value
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert run(tmp_path, "classify", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert f"error: bad {'transform parameters' if where == 'params' else 'quadratic'}: {key}" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "sampled",
+    [
+        {"points": [0.0, True], "values": [0.0, 1.0]},
+        {"points": [0.0, "1"], "values": [0.0, 1.0]},
+        {"points": [0.0, 1.0], "values": [0.0, True]},
+        {"points": [0.0, 1.0], "values": [0.0, "1"]},
+    ],
+    ids=["point_bool", "point_string", "value_bool", "value_string"],
+)
+def test_sampled_bools_and_strings_exit_two(tmp_path, capsys, sampled):
+    cfg = write_config(tmp_path, "conj.json", {"input": sampled, "slopes": [0.0]})
+    assert run(tmp_path, "conjugate", "--config", cfg) == 2
+    assert "error: bad" in capsys.readouterr().err
+
+
+def test_integer_too_large_for_a_float_exit_two(tmp_path, capsys):
+    # was an OverflowError from numpy, reported as an internal error
+    cfg = write_config(tmp_path, "cfg.json", identity_config(n=1, e=[[10**400]]))
+    assert run(tmp_path, "classify", "--config", cfg) == 2
+    assert "bad transform parameters: int too large to convert to float" in capsys.readouterr().err

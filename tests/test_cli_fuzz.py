@@ -5,9 +5,10 @@ from valid and malformed parts (booleans, strings, NaN, wrong sizes, ragged
 matrices, missing keys, bad options) and run through ``cli.main`` in
 process.  Every run must end in a determinate outcome (0), an input error
 (2) or an undetermined classification (3): never an internal error, and
-never an exception that escapes ``main``.  Valid numbers stay moderate,
-because magnitudes that overflow inside a construction are internal
-failures by design.
+never an exception that escapes ``main``.  A bool or a string anywhere in
+the params or a quadratic candidate is an input error.  Valid numbers stay
+moderate, because magnitudes that overflow inside a construction are
+internal failures by design.
 """
 
 import contextlib
@@ -148,6 +149,24 @@ def runs(draw):
     return argv, drop_one_sometimes(draw, config)
 
 
+def holds_non_number(value) -> bool:
+    """Whether a JSON value holds a bool or a string at any depth."""
+    if isinstance(value, list):
+        return any(holds_non_number(v) for v in value)
+    return isinstance(value, (bool, str))
+
+
+def number_fields(config) -> list:
+    """The values of the params and of a quadratic candidate, which must
+    hold numbers only."""
+    params = config.get("params")
+    fields = list(params.values()) if isinstance(params, dict) else []
+    cand = config.get("candidate")
+    if isinstance(cand, dict) and isinstance(cand.get("quadratic"), dict):
+        fields += cand["quadratic"].values()
+    return fields
+
+
 @pytest.fixture(scope="module")
 def config_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "cfg.json"
@@ -162,5 +181,7 @@ def test_cli_input_layer_never_fails_internally(config_path, run):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*argv, "--config", str(config_path)])
     assert code in (0, 2, 3), (code, err.getvalue())
+    if any(holds_non_number(v) for v in number_fields(config)):
+        assert code == 2, err.getvalue()
     assert "internal error" not in err.getvalue()
     assert "Traceback" not in err.getvalue()

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from fenchelfix import (
     sample,
     uniform_grid,
 )
+from fenchelfix import discrete
 from fenchelfix.quadratic import QuadraticFn
 
 FLIP = TransformParams([[-1.0]], [0.0], [0.0], 1.0, 0.0)
@@ -556,3 +559,65 @@ class TestGridResidualWindowing:
         p2 = TransformParams(-np.eye(2), np.zeros(2), np.zeros(2), 1.0, 0.0)
         with pytest.raises(Exception):
             grid_fixed_point_residual(p2, f)
+
+
+class TestSortedChunkedCore:
+    """``_conjugate_at`` visits its slopes in ascending order, ``_CHUNK`` at
+    a time, and writes each value back to its slope's position."""
+
+    def test_shuffled_repeated_slopes_over_several_chunks(self, rng):
+        xs = np.linspace(-3.0, 3.0, 200)
+        f = SampledFn(xs, 0.25 * (xs * xs - 1.0) ** 2 + rng.uniform(-0.05, 0.05, xs.size))
+        slopes = np.unique(rng.uniform(-12.0, 12.0, 40_000))
+        at = rng.integers(0, slopes.size, 100_000)  # shuffled, with repeats
+        assert at.size > 3 * discrete._CHUNK
+        shuffled = discrete._conjugate_at(f, slopes[at])
+        assert shuffled.tobytes() == fast_conjugate(f, slopes).values[at].tobytes()
+        assert shuffled.tobytes() == brute_conjugate(f, slopes).values[at].tobytes()
+
+    def test_fenchel_young_tie_break_is_the_first_pair(self, rng, monkeypatch):
+        # gaps of exactly 0 at every (x, x) pair of x^2/2 on integers, and
+        # positive elsewhere: the worst point is the first tied pair
+        monkeypatch.setattr(discrete, "_CHUNK", 97)
+        xs = np.arange(-20.0, 21.0)
+        f = SampledFn(xs, 0.5 * xs * xs)
+        x = rng.choice(xs, 3_000)
+        s = np.where(rng.random(x.size) < 0.1, x, rng.uniform(-15.0, 15.0, x.size))
+        pairs = np.column_stack((x, s))
+        rep = fenchel_young_check(f, pairs)
+        one_at_a_time = np.array([discrete._conjugate_at(f, np.array([v]))[0] for v in s])
+        gaps = one_at_a_time + 0.5 * x * x - s * x
+        k = int(np.argmin(gaps))
+        assert np.count_nonzero(gaps == gaps[k]) > 1
+        assert rep.min_gap == gaps[k]
+        np.testing.assert_array_equal(rep.worst_point, pairs[k])
+
+    def test_peak_memory_is_bounded_by_the_chunks(self, rng):
+        xs = np.linspace(-2.0, 2.0, 101)
+        f = SampledFn(xs, 0.25 * (xs * xs - 1.0) ** 2)
+        f.hull  # built before tracing: its cost is the function's, once
+        s = rng.uniform(-3.0, 3.0, 1_000_000)
+        tracemalloc.start()
+        try:
+            discrete._conjugate_at(f, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output and the argsort permutation, plus chunk-sized temporaries
+        assert peak <= 2.5 * s.nbytes
+
+    def test_subnormal_spacing_gives_no_overflow_warning(self):
+        # the edge slope -1 / 2.2e-311 overflows to -inf, which only moves
+        # the search by one vertex inside the three-vertex max
+        f = SampledFn([0.0, 2.2e-311, 0.26, 2.97, 3.0], [1.0, 0.0, 0.5, 1.0, 3.0])
+        slopes = np.linspace(-5.0, 5.0, 41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = fast_conjugate(f, slopes)
+        assert fast.values.tobytes() == brute_conjugate(f, slopes).values.tobytes()
+
+
+def test_sample_passes_python_floats_to_a_scalar_callable():
+    seen = []
+    sample(lambda x: seen.append(type(x)) or x, uniform_grid(-1.0, 1.0, 0.5))
+    assert seen == [float] * 5
