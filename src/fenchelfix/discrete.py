@@ -6,12 +6,17 @@ the exact maximum of ``s*x_i - f(x_i)`` over finite nodes — no interpolation.
 ``brute_conjugate`` scans every node and is the oracle.  The other routes
 (``fast_conjugate``, the grid residual and the Fenchel-Young check) share
 one core: the merge step of Lucet's linear-time Legendre transform over the
-lower convex hull, which ``SampledFn.hull`` builds once per function.  It
-must agree with the oracle bit for bit; both return +0.0 for a zero maximum.
-The core visits its slopes in ascending order, ``_CHUNK`` at a time, so its
-searches walk the hull forward and its temporaries stay chunk-sized; each
-value goes back to its slope's position.  ``biconjugate`` interpolates over
-the same hull.
+lower convex hull.  Each ``SampledFn`` builds its hull, the hull's table
+(abscissae, values, edge slopes), its finite mask and its spacing once, on
+first use.  The core must agree with the oracle bit for bit; both return
++0.0 for a zero maximum.  It visits the slopes ``_CHUNK`` at a time, in an
+order its caller states: ``fast_conjugate``'s slopes are a strictly
+increasing grid and the grid residual builds ascending ones, so both pass
+none; the Fenchel-Young check passes an ``argsort``.  The searches then
+walk the hull forward, the temporaries stay chunk-sized, and each value
+goes to its slope's position.  ``biconjugate``
+interpolates over the same table; it returns ``f`` itself when every node
+between the first and the last finite one is a hull vertex.
 
 A ``SampledFn`` owns read-only arrays: a writeable input is copied, an
 array that is already read-only is shared.  ``sample`` evaluates a
@@ -97,9 +102,9 @@ class SampledFn:
         object.__setattr__(self, "points", p)
         object.__setattr__(self, "values", v)
 
-    @property
+    @cached_property
     def finite_mask(self) -> np.ndarray:
-        return np.isfinite(self.values)
+        return _frozen(np.isfinite(self.values))
 
     @cached_property
     def hull(self) -> np.ndarray:
@@ -108,8 +113,23 @@ class SampledFn:
         fin = np.flatnonzero(self.finite_mask)
         return _frozen(fin[lower_hull(self.points[fin], self.values[fin])])
 
-    def spacing(self) -> float:
+    @cached_property
+    def _table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The hull's abscissae, values and edge slopes, read-only; an edge
+        slope that overflows (nodes a subnormal apart) is infinite."""
+        hx = self.points[self.hull]
+        hv = self.values[self.hull]
+        edges = np.diff(hv)
+        with np.errstate(over="ignore"):
+            edges /= np.diff(hx)
+        return _frozen(hx), _frozen(hv), _frozen(edges)
+
+    @cached_property
+    def _spacing(self) -> float:
         return float(np.max(np.diff(self.points))) if self.points.size > 1 else 0.0
+
+    def spacing(self) -> float:
+        return self._spacing
 
 
 def sample(fn: Callable[[float], float], points) -> SampledFn:
@@ -365,37 +385,32 @@ def lower_hull(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return chain
 
 
-def _conjugate_at(f: SampledFn, s: np.ndarray) -> np.ndarray:
-    """max of s*x - f(x) over the hull vertices, for finite slopes in any
-    order (repeats allowed).
+def _conjugate_at(f: SampledFn, s: np.ndarray, order: Optional[np.ndarray] = None) -> np.ndarray:
+    """max of s*x - f(x) over the hull vertices, for finite slopes (repeats
+    allowed).
 
     The merge step of Lucet's linear-time Legendre transform: the maximizer
     for slope s is the hull vertex whose two edge slopes bracket s, found by
-    ``searchsorted``.  Rounded edge slopes can misplace it by one, so the
-    max is taken exactly over that vertex and its two neighbours, with the
-    oracle's expression.  An edge slope that overflows (nodes a subnormal
-    apart) is infinite, which only moves the search by one.  Equal maxima
-    are equal bits, except zeros, which are made +0.0 on both routes.
+    ``searchsorted`` in the table ``f._table``.  Rounded edge slopes can
+    misplace it by one, so the max is taken exactly over that vertex and
+    its two neighbours, with the oracle's expression.  An infinite edge
+    slope only moves the search by one.  Equal maxima are equal bits,
+    except zeros, which are made +0.0 on both routes.
 
-    The slopes are visited in ascending order, ``_CHUNK`` at a time, and
-    each value goes back to the slope's position: the searches then walk
-    the edge slopes forward, and the temporaries stay chunk-sized.  A
+    The slopes are visited ``_CHUNK`` at a time, in the order ``order``
+    (a permutation of their positions) or, when it is None, as given, and
+    each value goes to its slope's position.  Visiting them in ascending
+    order lets the searches walk the edge slopes forward; the caller whose
+    slopes already ascend passes no order, the others an ``argsort``.  A
     value depends only on its slope, so the order changes no bit.
     """
     if not np.all(np.isfinite(s)):
         raise ValueError("slopes must be finite")
-    hx = f.points[f.hull]
-    hv = f.values[f.hull]
-    edges = np.diff(hv)
-    widths = np.diff(hx)
-    with np.errstate(over="ignore"):
-        edges /= widths
-    del widths
+    hx, hv, edges = f._table
     top = hx.size - 1
     out = np.empty(s.size)
-    order = np.argsort(s)
     for i in range(0, s.size, _CHUNK):
-        at = order[i : i + _CHUNK]
+        at = slice(i, i + _CHUNK) if order is None else order[i : i + _CHUNK]
         sc = s[at]
         j = np.searchsorted(edges, sc)
         v = sc * hx[j] - hv[j]
@@ -427,9 +442,12 @@ def biconjugate(f: SampledFn) -> SampledFn:
     Nodes outside the span of the finite values stay +inf; hull vertices
     keep their exact value; interior nodes take the chord value, clamped
     to never exceed the original sample (the clamp only absorbs roundoff).
+    When every node of that span is a hull vertex, the result is ``f``
+    itself: the rule above gives back its values bit for bit.
     """
-    hx = f.points[f.hull]
-    hv = f.values[f.hull]
+    if f.hull.size == f.hull[-1] - f.hull[0] + 1:
+        return f
+    hx, hv, _ = f._table
     x = f.points
     # each node's segment: the count of hull vertices at or left of it, less one
     seg = np.zeros(x.size, dtype=np.intp)
@@ -556,12 +574,17 @@ def grid_fixed_point_residual(
 
     # f(x) - tau f*(e x + c) - w x - beta with the same roundings, but in
     # place, and with the nodes gathered again after the conjugate so that
-    # it runs beside one node-sized array, its slopes
+    # it runs beside one node-sized array, its slopes.  The slopes ascend:
+    # for e < 0 they come from the nodes reversed, and so do their values.
     s = f.points[mask]
+    if e < 0.0:
+        s = s[::-1]
     s *= e
     s += c
     star = _conjugate_at(f, s)
     del s
+    if e < 0.0:
+        star = star[::-1]
     xs = f.points[mask]
     residuals = f.values[mask]
     star *= p.tau
@@ -598,7 +621,7 @@ def fenchel_young_check(f: SampledFn, pairs: Sequence[Tuple[float, float]]) -> R
     np.abs(dist_left, out=dist_left)
     np.copyto(node, left, where=dist_left < dist)
     np.minimum(dist, dist_left, out=dist)
-    if np.any(dist > snap):
+    if not np.all(dist <= snap):  # a NaN abscissa fails too
         raise ValueError("pair abscissae must be grid nodes")
     del left, dist, dist_left
     fx = f.values[node]
@@ -607,7 +630,7 @@ def fenchel_young_check(f: SampledFn, pairs: Sequence[Tuple[float, float]]) -> R
         raise ValueError("pair abscissae must be in the effective domain")
 
     # f*(s) + f(x) - s x, with the same roundings, in place
-    gaps = _conjugate_at(f, ss)
+    gaps = _conjugate_at(f, ss, np.argsort(ss))
     gaps += fx
     np.multiply(ss, xs, out=fx)
     gaps -= fx

@@ -241,6 +241,34 @@ class TestBiconjugate:
         assert out.values[1] == 3.0
         assert np.isinf(out.values[0]) and np.isinf(out.values[2])
 
+    @pytest.mark.parametrize(
+        "f",
+        [
+            SignFlipSolution("half_square").sample(uniform_grid(-4.0, 4.0, 0.01)),
+            # +inf on x <= 0, and every finite node is a hull vertex
+            SignFlipSolution("neg_log").sample(uniform_grid(-2.0, 6.0, 0.01)),
+            SampledFn([-1.0, 0.0, 2.0], [np.inf, 3.0, np.inf]),
+        ],
+        ids=["half_square", "neg_log", "single_node"],
+    )
+    def test_contiguous_hull_returns_the_function(self, f):
+        assert f.hull.size == f.hull[-1] - f.hull[0] + 1
+        out = biconjugate(f)
+        assert out.values.tobytes() == f.values.tobytes()
+        assert out is f
+
+    def test_non_convex_sample_still_interpolates(self):
+        xs = uniform_grid(-2.0, 2.0, 0.25)
+        vals = 0.25 * (xs * xs - 1.0) ** 2
+        vals[0] = np.inf
+        f = SampledFn(xs, vals)
+        out = biconjugate(f)
+        assert out is not f
+        middle = np.abs(xs) < 1.0
+        assert np.all(out.values[middle] < f.values[middle])
+        np.testing.assert_array_equal(out.values[f.hull], f.values[f.hull])
+        assert np.isinf(out.values[0])
+
     def test_interior_value_replaced_by_chord(self):
         f = SampledFn([-1.0, 0.0, 1.0], [0.0, 5.0, 0.0])
         np.testing.assert_array_equal(biconjugate(f).values, [0.0, 0.0, 0.0])
@@ -455,6 +483,30 @@ class TestHullOnce:
         fenchel_young_check(f, [(0.0, 0.5), (1.0, -1.0)])
         assert hull_counter.sizes == [f.points.size]
 
+    def test_one_hull_and_one_table_for_a_non_convex_function(self, hull_counter):
+        xs = uniform_grid(-3.0, 3.0, 0.01)
+        f = SampledFn(xs, 0.25 * (xs * xs - 1.0) ** 2)
+        fast_conjugate(f, np.linspace(-2.0, 2.0, 41))
+        table = f._table
+        grid_fixed_point_residual(FLIP, f, window=(-1.0, 1.0))
+        assert biconjugate(f) is not f
+        fenchel_young_check(f, [(0.0, 0.5), (1.0, -1.0)])
+        assert hull_counter.sizes == [f.points.size]
+        assert f._table is table
+
+    def test_table_and_finite_mask_are_read_only_and_cached(self):
+        f = SampledFn([-2.0, -1.0, 0.0, 1.0, 2.0], [np.inf, 1.0, 3.0, 0.0, np.inf])
+        hx, hv, edges = f._table
+        np.testing.assert_array_equal(hx, [-1.0, 1.0])
+        np.testing.assert_array_equal(hv, [1.0, 0.0])
+        np.testing.assert_array_equal(edges, [-0.5])
+        assert f.finite_mask is f.finite_mask
+        np.testing.assert_array_equal(f.finite_mask, [False, True, True, True, False])
+        for a in (hx, hv, edges, f.finite_mask):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+
     def test_hull_of_finite_nodes(self):
         f = SampledFn([-2.0, -1.0, 0.0, 1.0, 2.0], [np.inf, 1.0, 3.0, 0.0, np.inf])
         np.testing.assert_array_equal(f.hull, [1, 3])
@@ -523,6 +575,12 @@ class TestFenchelYoung:
         rep = fenchel_young_check(f, pairs)
         assert rep.min_gap >= -1e-12
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_non_finite_abscissa_is_not_a_grid_node(self, x):
+        f = SampledFn(np.linspace(-1.0, 1.0, 5), np.zeros(5))
+        with pytest.raises(ValueError, match="pair abscissae must be grid nodes"):
+            fenchel_young_check(f, [(0.5, 0.5), (x, 1.0)])
+
     def test_near_equality_at_subgradient_pairs(self):
         # forward-difference slopes are near-subgradients of convex data,
         # so the inequality is close to tight: every gap stays within O(h)
@@ -538,7 +596,38 @@ class TestFenchelYoung:
             assert -1e-12 <= gap <= 2 * h
 
 
+def brute_grid_residual(p, f, window, exclusion):
+    """The grid residual's selected nodes and values from an all-node max,
+    with the library's roundings: ((v - tau f*) - w x) - beta."""
+    e, c, w = float(p.E[0, 0]), float(p.c[0]), float(p.w[0])
+    fin = np.isfinite(f.values)
+    xf, vf = f.points[fin], f.values[fin]
+    keep = fin & (f.points >= window[0]) & (f.points <= window[1])
+    keep &= (f.points - xf[0] >= exclusion) & (xf[-1] - f.points >= exclusion)
+    x, v = f.points[keep], f.values[keep]
+    star = np.max((e * x + c)[:, None] * xf[None, :] - vf[None, :], axis=1) + 0.0
+    return x, ((v - star * p.tau) - w * x) - p.beta
+
+
 class TestGridResidualWindowing:
+    @pytest.mark.parametrize("e", [-0.7, -1.0, 1.3])
+    def test_matches_a_brute_max_bitwise(self, rng, e):
+        p = TransformParams([[e]], [0.25], [0.3], 1.7, -0.2)
+        for _ in range(20):
+            xs = np.unique(rng.uniform(-6.0, 6.0, int(rng.integers(20, 400))))
+            vals = 0.5 * xs * xs + rng.uniform(-0.5, 0.5, xs.size)
+            vals[rng.random(xs.size) < 0.1] = np.inf
+            vals[np.argmin(np.abs(xs))] = 0.0  # a finite node inside the window
+            f = SampledFn(xs, vals)
+            window, exclusion = (-4.0, 4.0), 0.5
+            rep = grid_fixed_point_residual(p, f, window=window, boundary_exclusion=exclusion)
+            x, r = brute_grid_residual(p, f, window, exclusion)
+            k = int(np.argmax(np.abs(r)))
+            assert rep.sample_points == x.size
+            assert rep.max_abs == abs(r[k])
+            assert rep.worst_point.tobytes() == np.array([x[k]]).tobytes()
+            assert rep.mean_abs == float(np.mean(np.abs(r)))
+
     def test_window_restricts_reported_nodes(self):
         h = 0.01
         f = SignFlipSolution("half_square").sample(uniform_grid(-5.0, 5.0, h))
@@ -562,8 +651,8 @@ class TestGridResidualWindowing:
 
 
 class TestSortedChunkedCore:
-    """``_conjugate_at`` visits its slopes in ascending order, ``_CHUNK`` at
-    a time, and writes each value back to its slope's position."""
+    """``_conjugate_at`` visits its slopes ``_CHUNK`` at a time, in the
+    order it is given, and writes each value back to its slope's position."""
 
     def test_shuffled_repeated_slopes_over_several_chunks(self, rng):
         xs = np.linspace(-3.0, 3.0, 200)
@@ -571,7 +660,7 @@ class TestSortedChunkedCore:
         slopes = np.unique(rng.uniform(-12.0, 12.0, 40_000))
         at = rng.integers(0, slopes.size, 100_000)  # shuffled, with repeats
         assert at.size > 3 * discrete._CHUNK
-        shuffled = discrete._conjugate_at(f, slopes[at])
+        shuffled = discrete._conjugate_at(f, slopes[at], np.argsort(slopes[at]))
         assert shuffled.tobytes() == fast_conjugate(f, slopes).values[at].tobytes()
         assert shuffled.tobytes() == brute_conjugate(f, slopes).values[at].tobytes()
 
@@ -599,12 +688,35 @@ class TestSortedChunkedCore:
         s = rng.uniform(-3.0, 3.0, 1_000_000)
         tracemalloc.start()
         try:
-            discrete._conjugate_at(f, s)
+            discrete._conjugate_at(f, s, np.argsort(s))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # the output and the argsort permutation, plus chunk-sized temporaries
         assert peak <= 2.5 * s.nbytes
+
+    def test_ascending_slopes_need_no_permutation(self, rng):
+        xs = np.linspace(-2.0, 2.0, 101)
+        f = SampledFn(xs, 0.25 * (xs * xs - 1.0) ** 2)
+        f._table  # built before tracing: its cost is the function's, once
+        s = np.sort(rng.uniform(-3.0, 3.0, 1_000_000))
+        tracemalloc.start()
+        try:
+            discrete._conjugate_at(f, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output plus chunk-sized temporaries
+        assert peak <= 1.5 * s.nbytes
+
+    def test_shuffled_slopes_with_no_order(self, rng, monkeypatch):
+        monkeypatch.setattr(discrete, "_CHUNK", 97)
+        xs = np.linspace(-3.0, 3.0, 200)
+        f = SampledFn(xs, 0.25 * (xs * xs - 1.0) ** 2 + rng.uniform(-0.05, 0.05, xs.size))
+        slopes = np.unique(rng.uniform(-12.0, 12.0, 2_000))
+        at = rng.integers(0, slopes.size, 5_000)
+        shuffled = discrete._conjugate_at(f, slopes[at])
+        assert shuffled.tobytes() == brute_conjugate(f, slopes).values[at].tobytes()
 
     def test_subnormal_spacing_gives_no_overflow_warning(self):
         # the edge slope -1 / 2.2e-311 overflows to -inf, which only moves
