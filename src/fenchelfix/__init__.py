@@ -18,6 +18,7 @@ from .errors import (
     NotPSD,
     NotSymmetric,
     NumericalFailure,
+    OutOfRange,
     ParseError,
     Singular,
     UnknownDemo,

@@ -336,7 +336,7 @@ def _demo_lql(opts: dict, tol: Tolerances) -> tuple[dict, bool]:
     l_matrix = (basis * rng.uniform(0.5, 2.0, n)) @ basis.T
     l_matrix = 0.5 * (l_matrix + l_matrix.T)
     q = fixpoint.solve_lql(l_matrix, tol)
-    lql_gap = float(np.max(np.abs(l_matrix @ q @ l_matrix - linalg.invert(q, tol))))
+    lql_gap = float(np.abs(l_matrix @ q @ l_matrix - linalg.invert(q, tol)).max())
     involution = fixpoint.check_involution_psd(basis @ np.eye(n) @ basis.T, tol)
     ok = lql_gap <= 1e-9 and involution.max_abs <= 1e-7
     return {

@@ -43,7 +43,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import AllInfinite, DimMismatch, Singular
+from .errors import AllInfinite, DimMismatch, OutOfRange, Singular
 from .quadratic import TransformParams
 from .reports import ResidualReport, report_from_residuals
 
@@ -54,9 +54,9 @@ def _check_grid(points) -> np.ndarray:
     p = np.asarray(points, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise DimMismatch("grid must be 1-D with at least 1 point")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("grid points must be finite")
-    if p.size > 1 and not np.all(np.diff(p) > 0.0):
+    if p.size > 1 and not (np.diff(p) > 0.0).all():
         raise ValueError("grid points must be strictly increasing")
     return p
 
@@ -65,9 +65,9 @@ def _check_values(values, size: int) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.shape != (size,):
         raise DimMismatch("values and grid sizes differ")
-    if np.any(np.isneginf(v)) or np.any(np.isnan(v)):
+    if np.isneginf(v).any() or np.isnan(v).any():
         raise ValueError("values must be finite or +inf")
-    if not np.any(np.isfinite(v)):
+    if not np.isfinite(v).any():
         raise AllInfinite("sampled function has no finite value")
     return v
 
@@ -97,10 +97,19 @@ class SampledFn:
     values: np.ndarray
 
     def __post_init__(self):
-        p = _owned(_check_grid(self.points), self.points)
-        v = _owned(_check_values(self.values, p.size), self.values)
-        object.__setattr__(self, "points", p)
-        object.__setattr__(self, "values", v)
+        self._set(_owned(_check_grid(self.points), self.points), self.values)
+
+    @classmethod
+    def _on_grid(cls, points: np.ndarray, values) -> "SampledFn":
+        """A function on ``points``, a read-only array that ``_check_grid``
+        has already passed, so the grid is not checked a second time."""
+        f = object.__new__(cls)
+        f._set(points, values)
+        return f
+
+    def _set(self, points: np.ndarray, values) -> None:
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "values", _owned(_check_values(values, points.size), values))
 
     @cached_property
     def finite_mask(self) -> np.ndarray:
@@ -126,7 +135,7 @@ class SampledFn:
 
     @cached_property
     def _spacing(self) -> float:
-        return float(np.max(np.diff(self.points))) if self.points.size > 1 else 0.0
+        return float(np.diff(self.points).max()) if self.points.size > 1 else 0.0
 
     def spacing(self) -> float:
         return self._spacing
@@ -141,8 +150,10 @@ def sample(fn: Callable[[float], float], points) -> SampledFn:
     """
     p = _check_grid(points)
     if isinstance(fn, SignFlipSolution):
-        return SampledFn(p, _frozen(fn.values(p)))
-    return SampledFn(p, _frozen(np.array([float(fn(x)) for x in p.tolist()])))
+        values = fn.values(p)
+    else:
+        values = np.array([float(fn(x)) for x in p.tolist()])
+    return SampledFn._on_grid(_owned(p, points), _frozen(values))
 
 
 def uniform_grid(lo: float, hi: float, h: float) -> np.ndarray:
@@ -164,7 +175,7 @@ def brute_conjugate(f: SampledFn, slopes) -> SampledFn:
         sb = s[i : i + block]
         out[i : i + block] = np.max(sb[:, None] * xs[None, :] - vs[None, :], axis=1)
     out += 0.0
-    return SampledFn(s, _frozen(out))
+    return SampledFn._on_grid(_owned(s, slopes), _frozen(out))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +415,7 @@ def _conjugate_at(f: SampledFn, s: np.ndarray, order: Optional[np.ndarray] = Non
     slopes already ascend passes no order, the others an ``argsort``.  A
     value depends only on its slope, so the order changes no bit.
     """
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise ValueError("slopes must be finite")
     hx, hv, edges = f._table
     top = hx.size - 1
@@ -433,7 +444,8 @@ def fast_conjugate(f: SampledFn, slopes) -> SampledFn:
     bitwise equal.
     """
     s = _check_grid(slopes)
-    return SampledFn(s, _frozen(_conjugate_at(f, s)))
+    values = _frozen(_conjugate_at(f, s))
+    return SampledFn._on_grid(_owned(s, slopes), values)
 
 
 def biconjugate(f: SampledFn) -> SampledFn:
@@ -467,7 +479,7 @@ def biconjugate(f: SampledFn) -> SampledFn:
     out[: f.hull[0]] = INF
     out[f.hull[-1] + 1 :] = INF
     out[f.hull] = hv
-    return SampledFn(f.points, _frozen(out))
+    return SampledFn._on_grid(f.points, _frozen(out))
 
 
 # ---------------------------------------------------------------------------
@@ -496,20 +508,34 @@ class SignFlipSolution:
         if self.kind == "split_quadratic":
             if self.lam is None or not self.lam > 0.0:
                 raise ValueError("split_quadratic needs lam > 0")
+            object.__setattr__(self, "lam", float(self.lam))
         elif self.lam is not None:
             raise ValueError(f"{self.kind} takes no lam parameter")
 
     def __call__(self, x) -> float:
-        return float(self.values(np.asarray(x, dtype=float).reshape(1))[0])
+        """The value at one point (a float or a size-1 array), bit for bit
+        the value ``values`` gives at it.
+
+        The same IEEE operations in Python float arithmetic, which also
+        overflows to +inf; ``neg_log`` takes ``np.log`` of a ``np.float64``
+        because ``math.log`` can differ from it in the last bit.
+        """
+        t = float(x) if isinstance(x, float) else float(np.asarray(x, dtype=float).reshape(1)[0])
+        if self.reflected:
+            t = -t
+        if self.kind == "half_square":
+            return 0.5 * t * t
+        if self.kind == "neg_log":
+            return -0.5 - float(np.log(np.float64(t))) if t > 0.0 else INF
+        if self.kind == "ray_indicator":
+            return 0.0 if t >= 0.0 else INF
+        lam = self.lam
+        return 0.5 * lam * t * t if t <= 0.0 else t * t / (2.0 * lam)
 
     def values(self, xs) -> np.ndarray:
         """Values at the nodes of a 1-D array, in one array pass.
 
-        ``__call__`` evaluates its point (a float or a length-1 array) as a
-        one-element array here, so a point value and an array value come
-        from the same expressions bit for bit (``np.log`` and ``math.log``
-        can differ in the last bit).  A square that overflows is +inf, as in
-        Python float arithmetic.
+        A square that overflows is +inf, as in Python float arithmetic.
         """
         t = np.asarray(xs, dtype=float)
         if t.ndim != 1:
@@ -550,7 +576,8 @@ def grid_fixed_point_residual(
     to ``window`` when given and skipping nodes within ``boundary_exclusion``
     of the effective domain's endpoints, where the conjugate's maximizer
     falls off the grid and the discrete value necessarily understates.  The
-    grid spacing is reported for tolerance scaling.
+    grid spacing is reported for tolerance scaling.  A slope that overflows
+    the float range raises ``OutOfRange``.
     """
     if p.dim != 1:
         raise DimMismatch("grid residuals need scalar transform parameters")
@@ -579,9 +606,15 @@ def grid_fixed_point_residual(
     s = f.points[mask]
     if e < 0.0:
         s = s[::-1]
-    s *= e
-    s += c
-    star = _conjugate_at(f, s)
+    with np.errstate(over="ignore"):  # the core's finiteness test catches it
+        s *= e
+        s += c
+    try:
+        star = _conjugate_at(f, s)
+    except ValueError:
+        raise OutOfRange(
+            f"slopes e x + c overflow the float range (e = {e:g}, c = {c:g})"
+        ) from None
     del s
     if e < 0.0:
         star = star[::-1]
@@ -621,12 +654,12 @@ def fenchel_young_check(f: SampledFn, pairs: Sequence[Tuple[float, float]]) -> R
     np.abs(dist_left, out=dist_left)
     np.copyto(node, left, where=dist_left < dist)
     np.minimum(dist, dist_left, out=dist)
-    if not np.all(dist <= snap):  # a NaN abscissa fails too
+    if not (dist <= snap).all():  # a NaN abscissa fails too
         raise ValueError("pair abscissae must be grid nodes")
     del left, dist, dist_left
     fx = f.values[node]
     del node
-    if not np.all(np.isfinite(fx)):
+    if not np.isfinite(fx).all():
         raise ValueError("pair abscissae must be in the effective domain")
 
     # f*(s) + f(x) - s x, with the same roundings, in place
@@ -638,8 +671,8 @@ def fenchel_young_check(f: SampledFn, pairs: Sequence[Tuple[float, float]]) -> R
     violations = np.negative(gaps)
     np.clip(violations, 0.0, None, out=violations)
     return ResidualReport(
-        max_abs=float(np.max(violations)),
-        mean_abs=float(np.mean(violations)),
+        max_abs=float(violations.max()),
+        mean_abs=float(violations.mean()),
         sample_points=int(gaps.size),
         worst_point=np.array([xs[k], ss[k]]),
         min_gap=float(gaps[k]),

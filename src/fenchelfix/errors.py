@@ -41,6 +41,11 @@ class AllInfinite(FenchelFixError):
     """A sampled function has no finite values (not proper)."""
 
 
+class OutOfRange(FenchelFixError):
+    """Finite inputs drive a value the computation needs past the largest
+    float (it overflows): an input error, not an internal failure."""
+
+
 class NumericalFailure(FenchelFixError):
     """A numerical routine failed on valid input (e.g. LAPACK did not
     converge): an internal failure, not an input error."""

@@ -124,8 +124,8 @@ def verify_form_quadratic(
     a_inv = q.spectrum.inverse(tol)
     s = p.tau * p.E.T @ a_inv
     m, rhs = _slope_system(p, s)
-    r1 = float(np.max(np.abs(q.A - s @ p.E)))
-    r2 = float(np.max(np.abs(m @ q.b - rhs)))
+    r1 = float(np.abs(q.A - s @ p.E).max())
+    r2 = float(np.abs(m @ q.b - rhs).max())
     r3 = abs(q.gamma - _constant(p, a_inv, q.b))
     return report_from_residuals([r1, r2, r3])
 
@@ -139,11 +139,11 @@ def x0_point(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def _matches_nonexistence_pattern(p: TransformParams, eps: float) -> bool:
-    minus_i = float(np.max(np.abs(p.E + np.eye(p.dim)))) <= eps
+    minus_i = float(np.abs(p.E + np.eye(p.dim)).max()) <= eps
     if not (minus_i and abs(p.tau - 1.0) <= eps and abs(p.beta) <= eps):
         return False
-    c0 = float(np.max(np.abs(p.c))) <= eps
-    w0 = float(np.max(np.abs(p.w))) <= eps
+    c0 = float(np.abs(p.c).max()) <= eps
+    w0 = float(np.abs(p.w).max()) <= eps
     return (c0 and not w0) or (w0 and not c0)
 
 
@@ -180,7 +180,7 @@ def classify(
         raise Singular("E must be invertible")
     if spec.positive_definite(tol):
         solution = solve_positive_definite(p, tol)
-        if abs(p.tau - 1.0) <= eps and float(np.max(np.abs(p.c - p.w))) <= eps:
+        if abs(p.tau - 1.0) <= eps and float(np.abs(p.c - p.w).max()) <= eps:
             return Classification(
                 Tag.UNIQUE_ALL_FUNCTIONS,
                 solution=solution,
@@ -399,7 +399,7 @@ def check_involution_psd(q_matrix, tol: Tolerances = DEFAULT_TOL) -> ResidualRep
     if not linalg.eigendecompose(q, tol).psd(tol):
         raise NotPSD("check_involution_psd requires a PSD matrix")
     n = q.shape[0]
-    if float(np.max(np.abs(q @ q - np.eye(n)))) > tol.involution:
+    if float(np.abs(q @ q - np.eye(n)).max()) > tol.involution:
         raise NotInvolution("Q^2 differs from the identity beyond tolerance")
     gap = np.abs(q - np.eye(n))
     return report_from_residuals(gap.ravel())

@@ -26,11 +26,16 @@ from .tolerances import DEFAULT_TOL, Tolerances
 
 
 def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
-    """Validate and return a finite 1-D float vector."""
+    """Validate and return a finite 1-D float vector.
+
+    The checks run in this order, and the first that fails raises: 1-D and
+    nonempty (``DimMismatch``), every entry finite (``ValueError``), then
+    the length ``dim`` when given (``DimMismatch``).
+    """
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise DimMismatch(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     if dim is not None and v.size != dim:
         raise DimMismatch(f"expected dimension {dim}, got {v.size}")
@@ -42,7 +47,7 @@ def as_matrix(m, dim: Optional[int] = None) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     if dim is not None and a.shape[0] != dim:
         raise DimMismatch(f"expected dimension {dim}, got {a.shape[0]}")
@@ -50,8 +55,8 @@ def as_matrix(m, dim: Optional[int] = None) -> np.ndarray:
 
 
 def is_symmetric(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    return float(np.max(np.abs(m - m.T))) <= tol.sym * scale
+    scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
+    return float(np.abs(m - m.T).max()) <= tol.sym * scale
 
 
 def as_symmetric(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -81,10 +86,10 @@ class Spectral(NamedTuple):
         return _below_cutoff(self.eigenvalues, tol)
 
     def positive_definite(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return float(np.min(self.eigenvalues)) > tol.pd
+        return float(self.eigenvalues.min()) > tol.pd
 
     def psd(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return float(np.min(self.eigenvalues)) >= -tol.pd
+        return float(self.eigenvalues.min()) >= -tol.pd
 
     def inverse(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """U diag(1/d) U^T, for a decomposition that is not singular."""
@@ -146,12 +151,12 @@ def definiteness(m, tol: Tolerances = DEFAULT_TOL) -> Definiteness:
 
 def _cutoff(d: np.ndarray, tol: Tolerances) -> float:
     """The singularity cutoff for |eigenvalues| or singular values ``d``."""
-    return tol.sing_rel * max(1.0, float(np.max(np.abs(d))) if d.size else 1.0)
+    return tol.sing_rel * max(1.0, float(np.abs(d).max()) if d.size else 1.0)
 
 
 def _below_cutoff(d: np.ndarray, tol: Tolerances) -> bool:
     """The one singularity rule: the smallest |d| is at most the cutoff."""
-    return float(np.min(np.abs(d))) <= _cutoff(d, tol)
+    return float(np.abs(d).min()) <= _cutoff(d, tol)
 
 
 def is_singular(m, tol: Tolerances = DEFAULT_TOL) -> bool:

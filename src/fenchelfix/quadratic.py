@@ -55,7 +55,20 @@ class QuadraticFn:
         return linalg.eigendecompose(self.A)
 
     def __call__(self, x) -> float:
-        v = linalg.as_vector(x, self.dim)
+        """The value at one point, checked once.
+
+        A point of shape ``(dim,)`` with every entry finite is evaluated
+        directly; any other input goes through ``linalg.as_vector``, which
+        raises its usual error (a non-finite entry is a ``ValueError``, a
+        wrong shape a ``DimMismatch``).  The finiteness test runs before
+        any arithmetic, so a NaN or infinite point raises and never warns.
+        """
+        v = np.asarray(x, dtype=float)
+        if v.shape != self.b.shape or not np.isfinite(v).all():
+            v = linalg.as_vector(v, self.dim)
+        return self._value(v)
+
+    def _value(self, v: np.ndarray) -> float:
         return float(0.5 * v @ self.A @ v + self.b @ v + self.gamma)
 
     def values(self, xs) -> np.ndarray:
@@ -69,7 +82,7 @@ class QuadraticFn:
             raise DimMismatch(f"expected a 2-D array of points, got shape {x.shape}")
         if x.shape[1] != self.dim:
             raise DimMismatch(f"expected dimension {self.dim}, got {x.shape[1]}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("point entries must be finite")
         return 0.5 * np.einsum("ij,ij->i", x @ self.A, x) + x @ self.b + self.gamma
 
@@ -219,11 +232,16 @@ class DirectSum:
         self.dim = int(self.offsets[-1])
 
     def __call__(self, x) -> float:
-        v = linalg.as_vector(x, self.dim)
+        v = np.asarray(x, dtype=float)
+        if v.shape != (self.dim,) or not np.isfinite(v).all():
+            v = linalg.as_vector(v, self.dim)
         total = 0.0
         for part, d, off in zip(self.parts, self.dims, self.offsets[:-1]):
             block = v[off : off + d]
-            total += part(block) if isinstance(part, QuadraticFn) else float(part(float(block[0])))
+            if isinstance(part, QuadraticFn):
+                total += part._value(block)  # checked above, with the whole point
+            else:
+                total += float(part(float(block[0])))
         return total
 
     def as_quadratic(self) -> QuadraticFn:

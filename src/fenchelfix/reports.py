@@ -37,16 +37,16 @@ def report_from_residuals(residuals, points=None, grid_h=None, scale=None) -> Re
     ``max_rel = max |residual| / scale``.
     """
     r = np.abs(np.asarray(residuals, dtype=float))
-    max_rel = None if scale is None else float(np.max(r / scale, initial=0.0))
+    max_rel = None if scale is None else float((r / scale).max(initial=0.0))
     if r.size == 0:
         return ResidualReport(0.0, 0.0, 0, None, grid_h=grid_h, max_rel=max_rel)
-    k = int(np.argmax(r))
+    k = int(r.argmax())
     worst = None
     if points is not None:
         worst = np.atleast_1d(np.asarray(points, dtype=float)[k]).copy()
     return ResidualReport(
         max_abs=float(r[k]),
-        mean_abs=float(np.mean(r)),
+        mean_abs=float(r.mean()),
         sample_points=int(r.size),
         worst_point=worst,
         grid_h=grid_h,

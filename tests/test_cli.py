@@ -277,6 +277,19 @@ class TestVerifyCommand:
         assert run(tmp_path, "verify", "--config", cfg, "--out", str(tmp_path / "r.json")) == 2
         assert "error: e must be nonzero" in capsys.readouterr().err
 
+    def test_sampled_candidate_with_overflowing_slopes_exit_two(self, tmp_path, capsys):
+        payload = {
+            "params": {"E": [[-1e308]], "c": [0], "w": [0], "tau": 1},
+            "candidate": {
+                "sampled": {"points": [-5, -2.5, 0, 2.5, 5], "values": [12.5, 3.125, 0, 3.125, 12.5]}
+            },
+        }
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        assert run(tmp_path, "verify", "--config", cfg, "--out", str(tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert "error: slopes e x + c overflow the float range" in err
+        assert "Warning" not in err and "internal error" not in err
+
     def test_missing_candidate_exit_two(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", identity_config())
         assert run(tmp_path, "verify", "--config", cfg) == 2

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from fenchelfix import (
     AllInfinite,
     DimMismatch,
+    FenchelFixError,
+    OutOfRange,
     SampledFn,
     SignFlipSolution,
     Singular,
@@ -408,6 +410,32 @@ class TestArraySampling:
             else:
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("member", FAMILY + [SignFlipSolution("split_quadratic", lam=7.0)], ids=repr)
+    def test_scalar_call_is_bitwise_the_array_pass(self, member):
+        # more than 1e5 points: every scale from subnormal to the largest
+        # float, uniform and raw-bit draws, +-0, +-inf and each kind's
+        # branch point 0 with its neighbours
+        rng = np.random.default_rng(15)
+        bits = rng.integers(-(2**62), 2**62, 30_000).view(np.float64)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308]
+        special += [1.3407807929942596e154, 1.3407807929942597e154, 1.7976931348623157e308]
+        special += [-1.7976931348623157e308, np.inf, -np.inf]
+        points = np.concatenate([
+            np.ldexp(rng.uniform(-1.0, 1.0, 40_000), rng.integers(-1073, 1025, 40_000)),
+            rng.uniform(-20.0, 20.0, 30_000),
+            rng.uniform(-1e-12, 1e-12, 2_000),
+            bits[np.isfinite(bits)],
+            special,
+        ])
+        assert points.size > 100_000
+        want = member.values(points)
+        got = np.array([member(x) for x in points.tolist()])
+        assert got.tobytes() == want.tobytes()
+        # a numpy scalar or a size-1 array takes the same route
+        some = points[::997]
+        for wrap in (np.float64, lambda x: np.array([x]), lambda x: np.array(x)):
+            assert np.array([member(wrap(x)) for x in some]).tobytes() == member.values(some).tobytes()
+
     def test_values_takes_a_1d_array(self):
         with pytest.raises(DimMismatch):
             SignFlipSolution("half_square").values(np.zeros((2, 2)))
@@ -471,6 +499,55 @@ class TestSampledFnOwnsItsArrays:
         assert not f.points.flags.writeable and not f.hull.flags.writeable
         assert biconjugate(f).points is f.points
         assert SampledFn(f.points, f.values).points is f.points
+
+
+class TestGridCheckedOnce:
+    def test_each_grid_is_checked_once(self, monkeypatch):
+        checked = []
+        original = discrete._check_grid
+
+        def counting(points):
+            checked.append(len(points))
+            return original(points)
+
+        monkeypatch.setattr(discrete, "_check_grid", counting)
+        f = sample(SignFlipSolution("half_square"), uniform_grid(-1.0, 1.0, 0.5))
+        assert checked == [5]
+        fast_conjugate(f, [-1.0, 0.0, 1.0])
+        assert checked == [5, 3]
+        brute_conjugate(f, [-1.0, 1.0])
+        assert checked == [5, 3, 2]
+        g = sample(lambda x: abs(x) if x else 1.0, f.points)
+        assert checked == [5, 3, 2, 5]
+        biconjugate(g)
+        SampledFn(g.points, g.values)
+        assert checked == [5, 3, 2, 5, 5]
+
+    @pytest.mark.parametrize(
+        "grid, error, message",
+        [
+            ([0.0, 2.0, 1.0], ValueError, "grid points must be strictly increasing"),
+            ([0.0, 0.0], ValueError, "grid points must be strictly increasing"),
+            ([0.0, np.nan], ValueError, "grid points must be finite"),
+            ([[0.0, 1.0]], DimMismatch, "grid must be 1-D with at least 1 point"),
+            ([], DimMismatch, "grid must be 1-D with at least 1 point"),
+        ],
+    )
+    def test_bad_grids_fail_the_one_check_even_read_only(self, grid, error, message):
+        arr = np.array(grid, dtype=float)
+        arr.flags.writeable = False
+        f = SampledFn([0.0, 1.0], [0.0, 1.0])
+        for g in (grid, arr):
+            for build in (
+                lambda: SampledFn(g, np.zeros(np.shape(g))),
+                lambda: sample(abs, g),
+                lambda: sample(SignFlipSolution("half_square"), g),
+                lambda: fast_conjugate(f, g),
+                lambda: brute_conjugate(f, g),
+            ):
+                with pytest.raises(error) as info:
+                    build()
+                assert info.type is error and str(info.value) == message
 
 
 class TestHullOnce:
@@ -642,6 +719,18 @@ class TestGridResidualWindowing:
         rep = grid_fixed_point_residual(p, f)
         assert rep.max_abs == 0.0
         assert rep.sample_points == 4
+
+    @pytest.mark.parametrize(
+        "e, c", [(-1e308, 0.0), (1e308, 0.0), (1e307, 1.7e308), (-4e307, -1.7e308)]
+    )
+    def test_overflowing_slopes_are_out_of_range(self, e, c):
+        # finite e, c and nodes whose slopes e x + c overflow: an input error
+        # naming the overflow, and no RuntimeWarning (the suite makes every
+        # warning an error)
+        f = SampledFn([-5.0, -2.5, 0.0, 2.5, 5.0], [12.5, 3.125, 0.0, 3.125, 12.5])
+        with pytest.raises(OutOfRange, match="slopes e x \\+ c overflow") as info:
+            grid_fixed_point_residual(TransformParams([[e]], [c], [0.0], 1.0), f)
+        assert isinstance(info.value, FenchelFixError)
 
     def test_scalar_parameters_required(self):
         f = SignFlipSolution("half_square").sample(uniform_grid(-1.0, 1.0, 0.1))

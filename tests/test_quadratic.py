@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from fenchelfix import (
     dual_params,
     energy,
     invert,
+    linalg,
     is_convex,
     is_strictly_convex,
     sample_points,
@@ -42,6 +45,112 @@ class TestEval:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             energy(2)(np.array([1.0]))
+
+
+def call_reference(q, x):
+    """``QuadraticFn.__call__`` as it was: validate through ``as_vector``,
+    then the one expression."""
+    v = linalg.as_vector(x, q.dim)
+    return float(0.5 * v @ q.A @ v + q.b @ v + q.gamma)
+
+
+def direct_sum_reference(ds, x):
+    """``DirectSum.__call__`` as it was: every quadratic block validated again."""
+    v = linalg.as_vector(x, ds.dim)
+    total = 0.0
+    for part, d, off in zip(ds.parts, ds.dims, ds.offsets[:-1]):
+        block = v[off : off + d]
+        total += call_reference(part, block) if isinstance(part, QuadraticFn) else float(part(float(block[0])))
+    return total
+
+
+def bad_points(dim):
+    """One input of each class the point check rejects, for a ``dim``-point."""
+    nan = np.zeros(dim)
+    nan[-1] = np.nan
+    return {
+        "nan": nan,
+        "inf": np.full(dim, np.inf),
+        "-inf": np.full(dim, -np.inf),
+        "nan_and_wrong_length": np.full(dim + 1, np.nan),
+        "wrong_length": np.ones(dim + 1),
+        "0-D": np.array(1.0),
+        "2-D": np.ones((1, dim)),
+        "empty": np.array([]),
+        "list": [np.inf] + [0.0] * (dim - 1),
+        "tuple": (1.0,) * (dim + 2),
+        "overflowing_int": [10**400] * dim,
+        "string": ["a"] * dim,
+    }
+
+
+def raised(fn, x):
+    with pytest.raises(Exception) as info:
+        fn(x)
+    return info.type, str(info.value)
+
+
+class TestCallChecksOnce:
+    # __call__ checks its point once: a finite point of shape (dim,) goes
+    # straight to the expression, anything else through as_vector
+    def test_call_is_bitwise_the_old_call(self, rng):
+        for d in range(1, 33):
+            a = rng.standard_normal((d, d))
+            for mat in (random_pd_matrix(rng, d), a + a.T):
+                q = QuadraticFn(mat, rng.uniform(-3, 3, d), rng.uniform(-3, 3))
+                for scale in (1e-300, 1e-3, 1.0, 1e3, 1e150):
+                    for x in scale * rng.standard_normal((8, d)):
+                        points = [x, list(x), tuple(x)]
+                        if 1e-3 <= scale <= 1e3:
+                            points.append(x.astype(np.float32))
+                        for point in points:
+                            got, want = q(point), call_reference(q, point)
+                            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_direct_sum_is_bitwise_the_old_call(self, rng):
+        for d in range(1, 33):
+            parts = [
+                QuadraticFn(random_pd_matrix(rng, k), rng.uniform(-3, 3, k), rng.uniform(-3, 3))
+                for k in (d, 1, max(1, d // 2))
+            ]
+            for ds in (direct_sum(parts), direct_sum(parts + [lambda t: abs(t) ** 1.5])):
+                for x in rng.uniform(-5, 5, (8, ds.dim)):
+                    got, want = ds(x), direct_sum_reference(ds, x)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_bad_points_raise_what_as_vector_raises(self, dim):
+        q = energy(dim)
+        ds = direct_sum([energy(1)] * dim)
+        for name, x in bad_points(dim).items():
+            want = raised(lambda y: linalg.as_vector(y, dim), x)
+            assert raised(q, x) == want, name
+            assert raised(ds, x) == want, name
+
+    def test_non_finite_point_raises_value_error_and_never_warns(self):
+        q = QuadraticFn(np.array([[1.0, 2.0], [2.0, -3.0]]), np.ones(2), 1.0)
+        ds = direct_sum([q, energy(1)])
+        for bad in (np.nan, np.inf, -np.inf):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError, match="vector entries must be finite"):
+                    q(np.array([1.0, bad]))
+                with pytest.raises(ValueError, match="vector entries must be finite"):
+                    ds(np.array([bad, 0.0, 1.0]))
+            assert caught == []
+
+    def test_overflowing_finite_point_behaves_as_before(self):
+        q = QuadraticFn(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([1.0, -1.0]), 0.0)
+        for x in ([1e200, 1.0], [1.0, 1e200], [1e200, 1e200], [1e308, -1e308]):
+            outcomes = []
+            for fn in (q, lambda y: call_reference(q, y)):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    value = np.float64(fn(np.array(x))).tobytes()
+                outcomes.append((value, [(w.category, str(w.message)) for w in caught]))
+            assert outcomes[0] == outcomes[1]
+            with pytest.raises(RuntimeWarning):  # the suite's filter turns it into an error
+                q(np.array(x))
 
 
 EPS = np.finfo(float).eps
