@@ -27,7 +27,6 @@ from .tolerances import DEFAULT_TOL, Tolerances
 from .linalg import (
     Definiteness,
     Spectral,
-    definiteness,
     eigendecompose,
     invert,
     solve_min_norm,

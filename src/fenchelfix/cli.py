@@ -7,8 +7,9 @@ command's handler from ``_COMMANDS``, and write the report shell with the
 handler's result.  ``solve`` reports what ``classify``'s case analysis
 constructs.  Reports are byte identical for identical config and seed; wall
 time goes to stderr so it never perturbs the report stream.  Exit codes:
-0 determinate outcome, 2 input error, 3 undetermined classification,
-4 internal failure (a failed demo or oracle check included).
+0 determinate outcome, 2 input error (overflow on finite input too),
+3 undetermined classification, 4 internal failure (a failed demo or oracle
+check included).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import discrete, fixpoint, linalg, serialize
-from .errors import FenchelFixError, NumericalFailure, ParseError, UnknownDemo
+from .errors import FenchelFixError, NumericalFailure, OutOfRange, ParseError, UnknownDemo
 from .fixpoint import Classification, Tag
 from .quadratic import QuadraticFn, TransformParams
 from .sampling import sample_points
@@ -422,7 +423,11 @@ def _run(args) -> int:
     config = _load_config(args.config) if command.needs_config else {}
     opts = _options(config, args)
     tol = DEFAULT_TOL.scaled(opts["tol_scale"])
-    result, code = command.handler(args, config, opts, tol)
+    try:  # overflow on finite input, or the NaN it makes, is an input error, not a warning
+        with np.errstate(over="raise", invalid="raise"):
+            result, code = command.handler(args, config, opts, tol)
+    except FloatingPointError as exc:
+        raise OutOfRange(f"the input overflows the float range ({exc})") from exc
     title = f"demo {args.name}" if args.command == "demo" else args.command
     _write_report(_report_shell(title, config, opts, tol, result), args.out)
     if code == EXIT_INTERNAL:

@@ -58,9 +58,18 @@ class Classification:
 
 def _symmetric_spectrum(p: TransformParams, tol: Tolerances) -> linalg.Spectral:
     """The cached spectrum of E, behind the symmetry gate at ``tol``."""
-    if not linalg.is_symmetric(p.E, tol):
+    spec = p.symmetric_spectrum(tol)
+    if spec is None:
         raise NotSymmetric("E must be symmetric for this construction")
-    return p.spectrum
+    return spec
+
+
+def _psd_spectrum(p: TransformParams, tol: Tolerances, need: str) -> linalg.Spectral:
+    """The cached spectrum of E, for a result that holds for symmetric PSD E."""
+    spec = p.symmetric_spectrum(tol)
+    if spec is None or not spec.psd(tol):
+        raise NotPSD(f"{need} requires positive semidefinite (hence symmetric) E")
+    return spec
 
 
 def _slope_system(p: TransformParams, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -165,7 +174,8 @@ def classify(
     known, so only a best-effort residual scan of a supplied candidate).
     """
     eps = tol.param_match
-    if not linalg.is_symmetric(p.E, tol):
+    spec = p.symmetric_spectrum(tol)
+    if spec is None:
         if linalg.is_singular(p.E, tol):
             raise Singular("matrix is singular within tolerance")
         note = "E is not symmetric; no decision procedure is available"
@@ -175,7 +185,6 @@ def classify(
             note += f"; candidate residual max {scan.max_abs:.3e} over {scan.sample_points} points"
         return Classification(Tag.UNDETERMINED, note=note)
 
-    spec = p.spectrum
     if spec.singular(tol):
         raise Singular("E must be invertible")
     if spec.positive_definite(tol):
@@ -284,7 +293,7 @@ def functional_eq_residual(
     """
     if variant not in ("Tsquared", "General", "SelfAdjoint"):
         raise ValueError(f"unknown variant {variant!r}")
-    if variant == "SelfAdjoint" and not linalg.is_symmetric(p.E, tol):
+    if variant == "SelfAdjoint" and p.symmetric_spectrum(tol) is None:
         raise NotSymmetric("SelfAdjoint variant requires symmetric E")
     pts = _rows(p, points)
     e_inv = p.e_inverse(tol)
@@ -342,12 +351,7 @@ def upper_envelope(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> Quadrat
     with leading coefficient (tau+1)/2 E^{-1} circulates but fails the
     bound already for E = 2I, tau = 1; the regression tests pin this down.)
     """
-    if not linalg.is_symmetric(p.E, tol):
-        raise NotPSD("upper envelope requires positive semidefinite (hence symmetric) E")
-    spec = p.spectrum
-    if not spec.psd(tol):
-        raise NotPSD("upper envelope requires positive semidefinite E")
-    if spec.singular(tol):
+    if _psd_spectrum(p, tol, "the upper envelope").singular(tol):
         raise Singular("upper envelope requires invertible E")
     return apply_transform(p, lower_envelope(p), tol)
 
@@ -364,12 +368,8 @@ def g_scaling_residual(
     For symmetric PSD invertible E, any two solutions differ by a
     continuous g with g(tau x + E^{-1} w - E^{-1} c) = tau^2 g(x).
     """
-    if not linalg.is_symmetric(p.E, tol):
-        raise NotPSD("the scaling law requires positive semidefinite (hence symmetric) E")
-    spec = p.spectrum
-    if not spec.psd(tol):
-        raise NotPSD("the scaling law requires positive semidefinite E")
-    e_inv = spec.inverse(tol)
+    _psd_spectrum(p, tol, "the scaling law")
+    e_inv = p.e_inverse(tol)
     shift = e_inv @ p.w - e_inv @ p.c
     pts = _rows(p, points)
     y = p.tau * pts + shift

@@ -60,8 +60,11 @@ def is_symmetric(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def as_symmetric(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Validate symmetry within tolerance and return the symmetrized matrix."""
+    """Validate symmetry within tolerance and return the symmetrized matrix;
+    a bitwise symmetric matrix (zeros' signs included) is returned as it is."""
     a = as_matrix(m)
+    if (a.view(np.int64) == a.view(np.int64).T).all():
+        return a
     if not is_symmetric(a, tol):
         raise NotSymmetric("matrix violates the symmetry tolerance")
     return 0.5 * (a + a.T)
@@ -72,9 +75,6 @@ class Spectral(NamedTuple):
 
     eigenvalues: np.ndarray
     vectors: np.ndarray  # orthogonal, eigenvectors in columns
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.eigenvalues) @ self.vectors.T
 
     def apply(self, fn) -> np.ndarray:
         """Return U diag(fn(d)) U^T, symmetrized."""
@@ -98,15 +98,15 @@ class Spectral(NamedTuple):
         return self.apply(lambda d: 1.0 / d)
 
     def definiteness(self, tol: Tolerances = DEFAULT_TOL) -> "Definiteness":
-        """Classify by the signs of the extreme eigenvalues."""
+        """Classify by the extreme eigenvalues, in the band ``psd`` uses."""
         lo, hi = float(self.eigenvalues[-1]), float(self.eigenvalues[0])
         if lo > tol.pd:
             return Definiteness.POSITIVE_DEFINITE
         if hi < -tol.pd:
             return Definiteness.NEGATIVE_DEFINITE
-        if lo > -tol.pd:
+        if lo >= -tol.pd:
             return Definiteness.POSITIVE_SEMIDEFINITE
-        if hi < tol.pd:
+        if hi <= tol.pd:
             return Definiteness.NEGATIVE_SEMIDEFINITE
         return Definiteness.INDEFINITE
 
@@ -142,11 +142,6 @@ class Definiteness(enum.Enum):
     INDEFINITE = "Indefinite"
     NEGATIVE_SEMIDEFINITE = "NegativeSemidefinite"
     NEGATIVE_DEFINITE = "NegativeDefinite"
-
-
-def definiteness(m, tol: Tolerances = DEFAULT_TOL) -> Definiteness:
-    """Classify a symmetric matrix by the signs of its eigenvalues."""
-    return eigendecompose(m, tol).definiteness(tol)
 
 
 def _cutoff(d: np.ndarray, tol: Tolerances) -> float:

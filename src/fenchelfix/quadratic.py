@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -118,18 +118,22 @@ class TransformParams:
     def dim(self) -> int:
         return self.E.shape[0]
 
+    def symmetric_spectrum(self, tol: Tolerances = DEFAULT_TOL) -> Optional[linalg.Spectral]:
+        """The one symmetry gate on E: the spectrum of (E + E^T)/2, decomposed
+        once (E is read-only), when E is symmetric within ``tol``; else None."""
+        if not linalg.is_symmetric(self.E, tol):
+            return None
+        return self._spectrum
+
     @cached_property
-    def spectrum(self) -> linalg.Spectral:
-        """Eigendecomposition of the symmetric part (E + E^T)/2, computed once
-        (E is read-only).  Callers gate on the symmetry of E themselves."""
+    def _spectrum(self) -> linalg.Spectral:
         return linalg.eigendecompose(0.5 * (self.E + self.E.T))
 
     def e_inverse(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """E^{-1}: from the cached spectrum when E is symmetric within
         ``tol``, otherwise from one SVD (``linalg.invert``)."""
-        if linalg.is_symmetric(self.E, tol):
-            return self.spectrum.inverse(tol)
-        return linalg.invert(self.E, tol)
+        spec = self.symmetric_spectrum(tol)
+        return linalg.invert(self.E, tol) if spec is None else spec.inverse(tol)
 
 
 @dataclass(frozen=True)
@@ -197,16 +201,12 @@ def dual_params(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> DualParams
 
 def is_convex(q: QuadraticFn, tol: Tolerances = DEFAULT_TOL) -> bool:
     """A quadratic is convex iff its leading coefficient is PSD."""
-    kind = q.spectrum.definiteness(tol)
-    return kind in (
-        linalg.Definiteness.POSITIVE_DEFINITE,
-        linalg.Definiteness.POSITIVE_SEMIDEFINITE,
-    )
+    return q.spectrum.psd(tol)
 
 
 def is_strictly_convex(q: QuadraticFn, tol: Tolerances = DEFAULT_TOL) -> bool:
     """A quadratic is strictly convex iff its leading coefficient is PD."""
-    return q.spectrum.definiteness(tol) is linalg.Definiteness.POSITIVE_DEFINITE
+    return q.spectrum.positive_definite(tol)
 
 
 Evaluable1D = Callable[[float], float]

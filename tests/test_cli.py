@@ -698,3 +698,34 @@ def test_integer_too_large_for_a_float_exit_two(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", identity_config(n=1, e=[[10**400]]))
     assert run(tmp_path, "classify", "--config", cfg) == 2
     assert "bad transform parameters: int too large to convert to float" in capsys.readouterr().err
+
+
+HALF_SQUARE = {"points": [-5, -2.5, 0, 2.5, 5], "values": [12.5, 3.125, 0, 3.125, 12.5]}
+ENERGY_1D = {"quadratic": {"A": [[1.0]], "b": [0.0], "gamma": 0.0}}
+
+
+@pytest.mark.parametrize(
+    "command, params, candidate",
+    [
+        ("classify", {"E": [[1e308]]}, None),
+        ("solve", {"E": [[1e308]]}, None),
+        ("verify", {"E": [[1e308]]}, ENERGY_1D),
+        ("verify", {}, {"quadratic": {"A": [[1e308]], "b": [0.0], "gamma": 0.0}}),
+        ("verify", {"E": [[2e307]]}, {"sampled": HALF_SQUARE}),
+        ("verify", {"tau": 1e308}, {"sampled": HALF_SQUARE}),
+    ],
+    ids=["classify_e", "solve_e", "verify_e", "verify_candidate_a", "sampled_e", "sampled_tau"],
+)
+def test_overflow_on_finite_input_exit_two(tmp_path, capsys, command, params, candidate):
+    # finite entries whose arithmetic overflows: an input error, with no
+    # warning and no report (they were exit 4, or exit 0 with maxAbs inf)
+    payload = {"params": {"E": [[1.0]], "c": [0.0], "w": [0.0], "tau": 1.0, **params}}
+    if candidate is not None:
+        payload["candidate"] = candidate
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "r.json"
+    assert run(tmp_path, command, "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "error: the input overflows the float range" in err
+    assert "Warning" not in err and "internal error" not in err
+    assert not out.exists()

@@ -256,13 +256,14 @@ CONSTRUCTIONS = {
 
 class TestOneSpectrumPerProblem:
     @pytest.mark.parametrize("tag", list(BRANCHES), ids=lambda t: t.value)
-    def test_classify_decomposes_e_at_most_once(self, decompose_counter, tag):
+    def test_classify_decomposes_symmetric_e_once(self, decompose_counter, tag):
         p = BRANCHES[tag]()
+        expected = 0 if tag is Tag.UNDETERMINED else 1
         assert classify(p).tag is tag
-        assert decompose_counter.of(p.E) <= 1
-        assert len(decompose_counter.seen) <= 1  # nothing else is decomposed either
+        assert decompose_counter.of(p.E) == expected
+        assert len(decompose_counter.seen) == expected  # nothing else is decomposed either
         classify(p)
-        assert len(decompose_counter.seen) <= 1  # the spectrum is cached on p
+        assert len(decompose_counter.seen) == expected  # the spectrum is cached on p
 
     @pytest.mark.parametrize("tag", list(CONSTRUCTIONS), ids=lambda t: t.value)
     def test_solve_after_classify_reuses_the_spectrum(self, decompose_counter, tag):
@@ -319,6 +320,74 @@ class TestOneSpectrumPerProblem:
         assert invert_counter.calls == 1
 
 
+GATE_POINTS = sample_points(2, 5, seed=3)
+
+# every public entry point that needs a symmetric E, called at a tolerance,
+# with its documented outcome for a non-symmetric E: a tag, an error, or
+# (for e_inverse) the SVD route
+GATED = {
+    "classify": (lambda p, tol: classify(p, tol=tol).tag, Tag.UNDETERMINED),
+    "solve_positive_definite": (solve_positive_definite, NotSymmetric),
+    "solve_self_adjoint": (solve_self_adjoint, NotSymmetric),
+    "upper_envelope": (upper_envelope, NotPSD),
+    "g_scaling_residual": (
+        lambda p, tol: g_scaling_residual(p, energy(2), energy(2), GATE_POINTS, tol),
+        NotPSD,
+    ),
+    "functional_eq_residual": (
+        lambda p, tol: functional_eq_residual(p, energy(2), "SelfAdjoint", GATE_POINTS, tol),
+        NotSymmetric,
+    ),
+    "e_inverse": (lambda p, tol: p.e_inverse(tol), invert),
+}
+
+
+def near_symmetric_params():
+    """Positive definite E whose off-diagonal pair differs by 1e-7 of max|E|."""
+    e = np.array([[2.0, 0.5 + 2e-7], [0.5, 1.0]])
+    return TransformParams(e, [0.5, -0.25], [0.1, 0.3], 2.0, 0.5)
+
+
+class TestSymmetryGate:
+    @pytest.mark.parametrize("name", list(GATED))
+    @pytest.mark.parametrize("make", [quarter_turn_params, near_symmetric_params])
+    def test_non_symmetric_e_gets_its_documented_outcome(
+        self, decompose_counter, invert_counter, name, make
+    ):
+        call, outcome = GATED[name]
+        p = make()
+        if outcome is invert:
+            e_inv = call(p, DEFAULT_TOL)
+            assert invert_counter.calls == 1
+            np.testing.assert_array_equal(e_inv, invert(p.E))
+        elif isinstance(outcome, Tag):
+            assert call(p, DEFAULT_TOL) is outcome
+        else:
+            with pytest.raises(outcome):
+                call(p, DEFAULT_TOL)
+        assert p.symmetric_spectrum() is None
+        assert decompose_counter.seen == []
+
+    @pytest.mark.parametrize("name", list(GATED))
+    def test_looser_symmetry_tolerance_admits_near_symmetric_e(
+        self, decompose_counter, invert_counter, name
+    ):
+        call, outcome = GATED[name]
+        p = near_symmetric_params()
+        loose = DEFAULT_TOL.scaled(1e3)
+        result = call(p, loose)
+        if isinstance(outcome, Tag):
+            assert result is Tag.UNIQUE_IN_C2_CLASS
+        assert invert_counter.calls == 0
+        assert decompose_counter.of(p.E) == 1
+        spec = p.symmetric_spectrum(loose)
+        reference = eigendecompose(0.5 * (p.E + p.E.T))
+        np.testing.assert_array_equal(spec.eigenvalues, reference.eigenvalues)
+        np.testing.assert_array_equal(spec.vectors, reference.vectors)
+        if outcome is invert:
+            np.testing.assert_array_equal(result, spec.inverse(loose))
+
+
 def test_spectral_inverse_agrees_with_the_svd_route(monkeypatch):
     # On the 200 positive definite acceptance instances, E^{-1} from the
     # cached spectrum and from linalg.invert's SVD differ by at most
@@ -341,7 +410,7 @@ def test_spectral_inverse_agrees_with_the_svd_route(monkeypatch):
     svd = run()
     for (p, _sol), (x0_s, res_s), (x0_v, res_v) in zip(pd_corpus(), spectral, svd):
         bound = 4.0 * np.linalg.cond(p.E) * p.dim * eps
-        inv_s, inv_v = p.spectrum.inverse(), invert(p.E)
+        inv_s, inv_v = p.symmetric_spectrum().inverse(), invert(p.E)
         assert np.max(np.abs(inv_s - inv_v)) <= bound * np.max(np.abs(inv_v))
         if x0_s is not None:
             assert np.max(np.abs(x0_s - x0_v)) <= bound * (1.0 + np.max(np.abs(x0_v)))
@@ -639,7 +708,7 @@ class TestEnvelopes:
                 assert sol(x) <= up(x) + 1e-9
 
     def test_upper_rejects_rotation(self):
-        with pytest.raises((NotPSD, Singular)):
+        with pytest.raises(NotPSD):
             upper_envelope(quarter_turn_params())
 
 

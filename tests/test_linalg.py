@@ -9,13 +9,23 @@ from fenchelfix import (
     NumericalFailure,
     Singular,
     TransformParams,
-    definiteness,
     eigendecompose,
     invert,
     solve_min_norm,
     solve_self_adjoint,
 )
-from fenchelfix.linalg import is_singular
+from fenchelfix import linalg
+from fenchelfix.linalg import as_symmetric, is_singular
+
+
+def definiteness(m, tol=DEFAULT_TOL):
+    """The definiteness of a symmetric matrix, from its eigendecomposition."""
+    return eigendecompose(m, tol).definiteness(tol)
+
+
+def reconstruct(spec):
+    """U diag(d) U^T of a decomposition."""
+    return (spec.vectors * spec.eigenvalues) @ spec.vectors.T
 
 
 def eig2x2(m):
@@ -40,7 +50,7 @@ class TestEigendecompose:
         m = np.array([[2.0, 1.0], [1.0, 2.0]])
         spec = eigendecompose(m)
         np.testing.assert_allclose(spec.eigenvalues, eig2x2(m), atol=1e-12)
-        assert np.max(np.abs(spec.reconstruct() - m)) <= 1e-12
+        assert np.max(np.abs(reconstruct(spec) - m)) <= 1e-12
 
     def test_reconstruction_up_to_dim_16(self, rng):
         for n in range(1, 17):
@@ -48,7 +58,7 @@ class TestEigendecompose:
             m = 0.5 * (m + m.T)
             spec = eigendecompose(m)
             scale = max(1.0, np.max(np.abs(m)))
-            assert np.max(np.abs(spec.reconstruct() - m)) <= 1e-10 * scale
+            assert np.max(np.abs(reconstruct(spec) - m)) <= 1e-10 * scale
             assert np.max(np.abs(spec.vectors.T @ spec.vectors - np.eye(n))) <= 1e-10
             assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
 
@@ -65,6 +75,28 @@ class TestEigendecompose:
             eigendecompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+class TestAsSymmetric:
+    def test_exactly_symmetric_matrix_is_returned_as_it_is(self, monkeypatch):
+        # one comparison, no tolerance test and no symmetrized copy
+        def forbidden(*args, **kwargs):
+            raise AssertionError("is_symmetric must not be called")
+
+        monkeypatch.setattr(linalg, "is_symmetric", forbidden)
+        m = np.array([[2.0, -0.0, 1.5], [-0.0, 1.0, 0.25], [1.5, 0.25, -3.0]])
+        assert as_symmetric(m) is m
+
+    def test_near_symmetric_matrix_is_symmetrized(self):
+        m = np.array([[2.0, 1.0 + 1e-12], [1.0, 1.0]])
+        out = as_symmetric(m)
+        np.testing.assert_array_equal(out, 0.5 * (m + m.T))
+        assert out.tobytes() == out.T.tobytes()
+
+    def test_zeros_of_opposite_sign_are_symmetrized(self):
+        # equal under ==, but not bitwise: the result is +0.0 in both places
+        out = as_symmetric(np.array([[1.0, 0.0], [-0.0, 1.0]]))
+        assert not np.signbit(out).any()
+
+
 def assert_spectral_contract(m, spec, tol=1e-12):
     """Descending order, the sign rule, orthogonality and reconstruction."""
     n = m.shape[0]
@@ -76,7 +108,7 @@ def assert_spectral_contract(m, spec, tol=1e-12):
         lead = np.nonzero(np.abs(col) > 1e-12)[0][0]
         assert col[lead] > 0.0
     assert np.max(np.abs(spec.vectors.T @ spec.vectors - np.eye(n))) <= 100 * n * tol
-    assert np.max(np.abs(spec.reconstruct() - m)) <= 100 * n * tol * scale
+    assert np.max(np.abs(reconstruct(spec) - m)) <= 100 * n * tol * scale
 
 
 def block_multiplicity_matrix(rng, n):
@@ -384,3 +416,26 @@ class TestDefiniteness:
             n = int(rng.integers(1, 7))
             m = random_pd_matrix(rng, n, lo=0.05, hi=4.0)
             assert definiteness(m) is Definiteness.POSITIVE_DEFINITE
+
+    @pytest.mark.parametrize(
+        "edge, kind",
+        [
+            (-1.0, Definiteness.POSITIVE_SEMIDEFINITE),
+            (1.0, Definiteness.POSITIVE_SEMIDEFINITE),
+            (-1.5, Definiteness.INDEFINITE),
+        ],
+    )
+    def test_band_edge_follows_psd(self, edge, kind):
+        # an eigenvalue exactly at -pd or +pd counts as zero, for psd and
+        # definiteness alike; one just outside the band does not
+        spec = eigendecompose(np.diag([1.0, edge * DEFAULT_TOL.pd]))
+        assert spec.eigenvalues[-1] == edge * DEFAULT_TOL.pd
+        assert spec.definiteness() is kind
+        assert spec.psd() is (kind is not Definiteness.INDEFINITE)
+        assert not spec.positive_definite()
+        neg = eigendecompose(np.diag([-1.0, -edge * DEFAULT_TOL.pd]))
+        flipped = {
+            Definiteness.POSITIVE_SEMIDEFINITE: Definiteness.NEGATIVE_SEMIDEFINITE,
+            Definiteness.INDEFINITE: Definiteness.INDEFINITE,
+        }
+        assert neg.definiteness() is flipped[kind]

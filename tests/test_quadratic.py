@@ -6,6 +6,8 @@ import pytest
 from conftest import random_pd_instance, random_pd_matrix
 from test_acceptance import indefinite_corpus, pd_corpus
 from fenchelfix import (
+    DEFAULT_TOL,
+    Definiteness,
     DimMismatch,
     EmptyList,
     NotPositiveDefinite,
@@ -368,6 +370,14 @@ class TestConvexity:
         assert is_convex(flat) and not is_strictly_convex(flat)
         saddle = QuadraticFn(np.diag([1.0, -1.0]), np.zeros(2), 0.0)
         assert not is_convex(saddle)
+
+    def test_band_edge_is_convex_as_psd_says(self):
+        # an eigenvalue exactly at -pd counts as zero: is_convex, psd and
+        # definiteness give one answer
+        edge = QuadraticFn(np.diag([1.0, -DEFAULT_TOL.pd]), np.zeros(2), 0.0)
+        assert is_convex(edge) and edge.spectrum.psd()
+        assert edge.spectrum.definiteness() is Definiteness.POSITIVE_SEMIDEFINITE
+        assert not is_strictly_convex(edge)
 
 
 class TestDirectSum:
