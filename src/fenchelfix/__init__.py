@@ -25,7 +25,6 @@ from .errors import (
 )
 from .tolerances import DEFAULT_TOL, Tolerances
 from .linalg import (
-    Definiteness,
     Spectral,
     eigendecompose,
     invert,
@@ -41,8 +40,6 @@ from .quadratic import (
     direct_sum,
     dual_params,
     energy,
-    is_convex,
-    is_strictly_convex,
 )
 from .reports import ResidualReport
 from .fixpoint import (

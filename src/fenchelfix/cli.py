@@ -40,10 +40,19 @@ EXIT_UNDETERMINED = 3
 EXIT_INTERNAL = 4
 
 
+def _json_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite JSON number (a sampled +inf is written \"inf\")")
+    return value
+
+
 def _load_config(path: str) -> dict:
+    """The config as RFC 8259 JSON with finite numbers: Python's ``json`` would
+    accept NaN, Infinity, -Infinity and a number past the float range (1e400)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_float=_json_float, parse_constant=_json_float)
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8 or an over-long integer
@@ -134,7 +143,7 @@ def _check_writable(out: Optional[str]) -> None:
 
 
 def _write_report(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(report, indent=2) + "\n"
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -215,11 +224,13 @@ def cmd_verify(args, config: dict, opts: dict, tol: Tolerances) -> tuple[dict, i
 
 
 def _slopes(raw) -> np.ndarray:
-    """The ``slopes`` entry: a list, or ``{"start", "stop", "count"}`` for
+    """The ``slopes`` entry: a list of numbers, or ``{"start", "stop", "count"}`` for
     evenly spaced slopes; either way finite and strictly increasing."""
     try:
         if isinstance(raw, dict):
             raw = np.linspace(_finite(raw["start"]), _finite(raw["stop"]), _count(raw["count"]))
+        else:
+            raw = serialize._numbers(raw, "slopes")
         return discrete._check_grid(raw)
     except (LookupError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"bad slopes: {exc}") from exc
@@ -334,8 +345,7 @@ def _demo_lql(opts: dict, tol: Tolerances) -> tuple[dict, bool]:
     rng = np.random.default_rng((opts["seed"] + 20240) % 2**64)  # any integer seed
     n = 4
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    l_matrix = (basis * rng.uniform(0.5, 2.0, n)) @ basis.T
-    l_matrix = 0.5 * (l_matrix + l_matrix.T)
+    l_matrix = linalg.symmetric_part((basis * rng.uniform(0.5, 2.0, n)) @ basis.T)
     q = fixpoint.solve_lql(l_matrix, tol)
     lql_gap = float(np.abs(l_matrix @ q @ l_matrix - linalg.invert(q, tol)).max())
     involution = fixpoint.check_involution_psd(basis @ np.eye(n) @ basis.T, tol)

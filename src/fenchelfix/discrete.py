@@ -576,8 +576,9 @@ def grid_fixed_point_residual(
     to ``window`` when given and skipping nodes within ``boundary_exclusion``
     of the effective domain's endpoints, where the conjugate's maximizer
     falls off the grid and the discrete value necessarily understates.  The
-    grid spacing is reported for tolerance scaling.  A slope that overflows
-    the float range raises ``OutOfRange``.
+    grid spacing is reported for tolerance scaling.  A slope, a conjugate
+    value or its product with tau that overflows the float range raises
+    ``OutOfRange``, with no warning.
     """
     if p.dim != 1:
         raise DimMismatch("grid residuals need scalar transform parameters")
@@ -606,21 +607,23 @@ def grid_fixed_point_residual(
     s = f.points[mask]
     if e < 0.0:
         s = s[::-1]
-    with np.errstate(over="ignore"):  # the core's finiteness test catches it
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness tests catch it
         s *= e
         s += c
-    try:
-        star = _conjugate_at(f, s)
-    except ValueError:
-        raise OutOfRange(
-            f"slopes e x + c overflow the float range (e = {e:g}, c = {c:g})"
-        ) from None
-    del s
+        try:
+            star = _conjugate_at(f, s)
+        except ValueError:
+            raise OutOfRange(
+                f"slopes e x + c overflow the float range (e = {e:g}, c = {c:g})"
+            ) from None
+        del s
+        star *= p.tau
+    if not np.isfinite(star).all():
+        raise OutOfRange(f"the input overflows the float range: tau f*(e x + c), tau = {p.tau:g}")
     if e < 0.0:
         star = star[::-1]
     xs = f.points[mask]
     residuals = f.values[mask]
-    star *= p.tau
     residuals -= star
     np.multiply(w, xs, out=star)
     residuals -= star

@@ -92,7 +92,7 @@ def solve_positive_definite(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -
     if not spec.positive_definite(tol):
         raise NotPositiveDefinite("E must be positive definite")
     rt = np.sqrt(p.tau)
-    a = rt * (0.5 * (p.E + p.E.T))
+    a = rt * linalg.symmetric_part(p.E)
     b = (p.w + rt * p.c) / (1.0 + rt)
     return QuadraticFn(a, b, _constant(p, spec.apply(lambda d: 1.0 / (rt * d)), b))
 
@@ -336,7 +336,7 @@ def lower_envelope(p: TransformParams) -> QuadraticFn:
     inequality at s = Ex + c.
     """
     tau = p.tau
-    q_mat = (2.0 * tau / (tau + 1.0)) * 0.5 * (p.E + p.E.T)
+    q_mat = (2.0 * tau / (tau + 1.0)) * linalg.symmetric_part(p.E)
     q_vec = (p.w + tau * p.c) / (tau + 1.0)
     theta = p.beta / (tau + 1.0)
     return QuadraticFn(q_mat, q_vec, theta)

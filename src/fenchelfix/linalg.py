@@ -6,8 +6,10 @@ identical input gives identical bytes on the same numpy/BLAS build.  A
 ``Spectral`` carries the eigenvalue predicates the case analysis needs and
 applies functions of the eigenvalues (``apply``), which is how the package
 forms |E|, sign(E), inverses and pseudo-inverse solves of symmetric
-matrices.  A general matrix is inverted from one SVD (``invert``), or
-tested for singularity from its singular values alone (``is_singular``).
+matrices.  Every symmetric part is formed by ``symmetric_part``, which
+cannot overflow on finite input.  A general matrix is inverted from one
+SVD (``invert``), or tested for singularity from its singular values alone
+(``is_singular``).
 There is one singularity rule: the smallest |eigenvalue| or singular value
 is at most ``sing_rel * max(1, largest)``.  Matrices are plain ``numpy``
 arrays; validation helpers enforce the symmetry/finiteness contracts at the
@@ -16,7 +18,6 @@ entry points.  A LAPACK failure surfaces as ``NumericalFailure``.
 
 from __future__ import annotations
 
-import enum
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -42,32 +43,43 @@ def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     return v
 
 
-def as_matrix(m, dim: Optional[int] = None) -> np.ndarray:
+def as_matrix(m) -> np.ndarray:
     """Validate and return a finite square float matrix."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    if dim is not None and a.shape[0] != dim:
-        raise DimMismatch(f"expected dimension {dim}, got {a.shape[0]}")
     return a
+
+
+def _bitwise_symmetric(a: np.ndarray) -> bool:
+    """Whether ``a`` equals its transpose bit for bit, zeros' signs included."""
+    return a.tobytes() == a.T.tobytes()
+
+
+def symmetric_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^T)/2 of a square float matrix: ``a`` itself when it is bitwise
+    symmetric, else ``0.5 * a + 0.5 * a.T``.  Halving before the sum cannot
+    overflow on finite input and, outside the subnormal range, gives the
+    bits of the sum halved."""
+    return a if _bitwise_symmetric(a) else 0.5 * a + 0.5 * a.T
 
 
 def is_symmetric(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
-    return float(np.abs(m - m.T).max()) <= tol.sym * scale
+    return float(np.abs(0.5 * m - 0.5 * m.T).max()) <= 0.5 * tol.sym * scale
 
 
 def as_symmetric(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Validate symmetry within tolerance and return the symmetrized matrix;
     a bitwise symmetric matrix (zeros' signs included) is returned as it is."""
     a = as_matrix(m)
-    if (a.view(np.int64) == a.view(np.int64).T).all():
+    if _bitwise_symmetric(a):
         return a
     if not is_symmetric(a, tol):
         raise NotSymmetric("matrix violates the symmetry tolerance")
-    return 0.5 * (a + a.T)
+    return symmetric_part(a)
 
 
 class Spectral(NamedTuple):
@@ -78,8 +90,7 @@ class Spectral(NamedTuple):
 
     def apply(self, fn) -> np.ndarray:
         """Return U diag(fn(d)) U^T, symmetrized."""
-        out = (self.vectors * fn(self.eigenvalues)) @ self.vectors.T
-        return 0.5 * (out + out.T)
+        return symmetric_part((self.vectors * fn(self.eigenvalues)) @ self.vectors.T)
 
     def singular(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         """Some |eigenvalue| is at most ``sing_rel * max(1, max|eigenvalue|)``."""
@@ -96,19 +107,6 @@ class Spectral(NamedTuple):
         if self.singular(tol):
             raise Singular("matrix is singular within tolerance")
         return self.apply(lambda d: 1.0 / d)
-
-    def definiteness(self, tol: Tolerances = DEFAULT_TOL) -> "Definiteness":
-        """Classify by the extreme eigenvalues, in the band ``psd`` uses."""
-        lo, hi = float(self.eigenvalues[-1]), float(self.eigenvalues[0])
-        if lo > tol.pd:
-            return Definiteness.POSITIVE_DEFINITE
-        if hi < -tol.pd:
-            return Definiteness.NEGATIVE_DEFINITE
-        if lo >= -tol.pd:
-            return Definiteness.POSITIVE_SEMIDEFINITE
-        if hi <= tol.pd:
-            return Definiteness.NEGATIVE_SEMIDEFINITE
-        return Definiteness.INDEFINITE
 
 
 def eigendecompose(m, tol: Tolerances = DEFAULT_TOL) -> Spectral:
@@ -134,14 +132,6 @@ def _lapack(routine, *args, **kwargs):
         return routine(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"{routine.__name__} failed: {exc}") from exc
-
-
-class Definiteness(enum.Enum):
-    POSITIVE_DEFINITE = "PositiveDefinite"
-    POSITIVE_SEMIDEFINITE = "PositiveSemidefinite"
-    INDEFINITE = "Indefinite"
-    NEGATIVE_SEMIDEFINITE = "NegativeSemidefinite"
-    NEGATIVE_DEFINITE = "NegativeDefinite"
 
 
 def _cutoff(d: np.ndarray, tol: Tolerances) -> float:

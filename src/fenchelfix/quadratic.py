@@ -66,9 +66,6 @@ class QuadraticFn:
         v = np.asarray(x, dtype=float)
         if v.shape != self.b.shape or not np.isfinite(v).all():
             v = linalg.as_vector(v, self.dim)
-        return self._value(v)
-
-    def _value(self, v: np.ndarray) -> float:
         return float(0.5 * v @ self.A @ v + self.b @ v + self.gamma)
 
     def values(self, xs) -> np.ndarray:
@@ -119,15 +116,15 @@ class TransformParams:
         return self.E.shape[0]
 
     def symmetric_spectrum(self, tol: Tolerances = DEFAULT_TOL) -> Optional[linalg.Spectral]:
-        """The one symmetry gate on E: the spectrum of (E + E^T)/2, decomposed
-        once (E is read-only), when E is symmetric within ``tol``; else None."""
+        """The one symmetry gate on E: the spectrum of its symmetric part,
+        decomposed once (E is read-only), when E is symmetric within ``tol``; else None."""
         if not linalg.is_symmetric(self.E, tol):
             return None
         return self._spectrum
 
     @cached_property
     def _spectrum(self) -> linalg.Spectral:
-        return linalg.eigendecompose(0.5 * (self.E + self.E.T))
+        return linalg.eigendecompose(linalg.symmetric_part(self.E))
 
     def e_inverse(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """E^{-1}: from the cached spectrum when E is symmetric within
@@ -168,15 +165,15 @@ def apply_transform(
 ) -> QuadraticFn:
     """Expand x -> tau q*(Ex + c) + <w, x> + beta as a quadratic.
 
-    The leading coefficient ``tau E^T A^{-1} E`` is explicitly symmetrized to
-    absorb floating-point asymmetry.
+    The leading coefficient ``tau E^T A^{-1} E`` is symmetrized here: its
+    rounding asymmetry can exceed the symmetry tolerance ``QuadraticFn``
+    applies when E is ill-conditioned.
     """
     if p.dim != q.dim:
         raise DimMismatch("transform and quadratic dimensions differ")
     qs = conjugate_quadratic(q, tol)
     e, c, w, tau = p.E, p.c, p.w, p.tau
-    a_t = tau * (e.T @ qs.A @ e)
-    a_t = 0.5 * (a_t + a_t.T)
+    a_t = linalg.symmetric_part(tau * (e.T @ qs.A @ e))
     b_t = tau * (e.T @ (qs.A @ c + qs.b)) + w
     gamma_t = tau * (0.5 * float(c @ qs.A @ c) + float(qs.b @ c) + qs.gamma) + p.beta
     return QuadraticFn(a_t, b_t, gamma_t)
@@ -197,16 +194,6 @@ def dual_params(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> DualParams
     z = -e_inv @ p.c
     rho = float(p.w @ (e_inv @ p.c)) - p.beta
     return DualParams(H=h, v=v, z=z, rho=rho)
-
-
-def is_convex(q: QuadraticFn, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """A quadratic is convex iff its leading coefficient is PSD."""
-    return q.spectrum.psd(tol)
-
-
-def is_strictly_convex(q: QuadraticFn, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """A quadratic is strictly convex iff its leading coefficient is PD."""
-    return q.spectrum.positive_definite(tol)
 
 
 Evaluable1D = Callable[[float], float]
@@ -232,16 +219,11 @@ class DirectSum:
         self.dim = int(self.offsets[-1])
 
     def __call__(self, x) -> float:
-        v = np.asarray(x, dtype=float)
-        if v.shape != (self.dim,) or not np.isfinite(v).all():
-            v = linalg.as_vector(v, self.dim)
+        v = linalg.as_vector(x, self.dim)
         total = 0.0
         for part, d, off in zip(self.parts, self.dims, self.offsets[:-1]):
             block = v[off : off + d]
-            if isinstance(part, QuadraticFn):
-                total += part._value(block)  # checked above, with the whole point
-            else:
-                total += float(part(float(block[0])))
+            total += part(block) if isinstance(part, QuadraticFn) else float(part(float(block[0])))
         return total
 
     def as_quadratic(self) -> QuadraticFn:

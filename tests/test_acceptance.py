@@ -28,7 +28,6 @@ from fenchelfix import (
     functional_eq_residual,
     grid_fixed_point_residual,
     invert,
-    is_strictly_convex,
     lower_envelope,
     quarter_turn_params,
     sample_points,
@@ -114,7 +113,7 @@ def test_criterion_02_positive_definite_soundness():
         worst_resid = max(worst_resid, transform_residual(p, sol, pts).max_abs)
         form = verify_form_quadratic(p, sol)  # all three coefficient relations
         worst_form = max(worst_form, form.max_abs)
-        all_convex = all_convex and is_strictly_convex(sol)
+        all_convex = all_convex and sol.spectrum.positive_definite()
     elapsed = time.monotonic() - started
     ok = worst_resid <= 1e-8 and worst_form <= 1e-8 and all_convex and elapsed < 10.0
     _emit(

@@ -6,7 +6,8 @@ matrices, missing keys, bad options) and run through ``cli.main`` in
 process.  Every run must end in a determinate outcome (0), an input error
 (2) or an undetermined classification (3): never an internal error, and
 never an exception that escapes ``main``.  A bool or a string anywhere in
-the params or a quadratic candidate is an input error.  Valid numbers are
+the params, a quadratic candidate or a slope list is an input error, and
+every report is strict (RFC 8259) JSON.  Valid numbers are
 mostly moderate, so that most configs reach a determinate branch; one in
 thirty-two is a magnitude whose arithmetic overflows, which is an input
 error too.
@@ -135,9 +136,19 @@ def slope_ranges(draw):
     return drop_one_sometimes(draw, {"start": draw(NUMBERS), "stop": draw(NUMBERS), "count": count})
 
 
+@st.composite
+def slope_lists_with_non_number(draw):
+    """Increasing slopes with one entry a bool or its own numeric string,
+    which a reader of bools and strings as numbers would accept."""
+    slopes = draw(st.lists(REALS, min_size=1, max_size=8, unique=True).map(sorted))
+    i = draw(st.integers(0, len(slopes) - 1))
+    slopes[i] = draw(st.sampled_from([True, False, str(slopes[i])]))
+    return slopes
+
+
 SLOPES = mostly(
     st.one_of(st.lists(REALS, min_size=1, max_size=8, unique=True).map(sorted), slope_ranges()),
-    st.one_of(st.lists(NUMBERS, max_size=4), MALFORMED),
+    st.one_of(st.lists(NUMBERS, max_size=4), slope_lists_with_non_number(), MALFORMED),
 )
 
 
@@ -167,14 +178,20 @@ def holds_non_number(value) -> bool:
 
 
 def number_fields(config) -> list:
-    """The values of the params and of a quadratic candidate, which must
-    hold numbers only."""
+    """The values of the params and of a quadratic candidate, and a slope
+    list, which must hold numbers only."""
     params = config.get("params")
     fields = list(params.values()) if isinstance(params, dict) else []
     cand = config.get("candidate")
     if isinstance(cand, dict) and isinstance(cand.get("quadratic"), dict):
         fields += cand["quadratic"].values()
+    if isinstance(config.get("slopes"), list):
+        fields.append(config["slopes"])
     return fields
+
+
+def not_json(literal):
+    raise AssertionError(f"the report holds {literal}, which is not JSON")
 
 
 @pytest.fixture(scope="module")
@@ -195,3 +212,5 @@ def test_cli_input_layer_never_fails_internally(config_path, run):
         assert code == 2, err.getvalue()
     assert "internal error" not in err.getvalue()
     assert "Traceback" not in err.getvalue()
+    if code != 2:
+        json.loads(out.getvalue(), parse_constant=not_json)

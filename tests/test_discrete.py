@@ -732,6 +732,14 @@ class TestGridResidualWindowing:
             grid_fixed_point_residual(TransformParams([[e]], [c], [0.0], 1.0), f)
         assert isinstance(info.value, FenchelFixError)
 
+    @pytest.mark.parametrize("e, tau", [(2e307, 1.0), (-2e307, 1.0), (1.0, 1e308)])
+    def test_overflowing_conjugate_values_are_out_of_range(self, e, tau):
+        # finite slopes whose conjugate values, or their product with tau,
+        # overflow: an input error with no RuntimeWarning, not maxAbs inf
+        f = SampledFn([-5.0, -2.5, 0.0, 2.5, 5.0], [12.5, 3.125, 0.0, 3.125, 12.5])
+        with pytest.raises(OutOfRange, match="the input overflows the float range"):
+            grid_fixed_point_residual(TransformParams([[e]], [0.0], [0.0], tau), f)
+
     def test_scalar_parameters_required(self):
         f = SignFlipSolution("half_square").sample(uniform_grid(-1.0, 1.0, 0.1))
         p2 = TransformParams(-np.eye(2), np.zeros(2), np.zeros(2), 1.0, 0.0)

@@ -24,7 +24,6 @@ from fenchelfix import (
     functional_eq_residual,
     g_scaling_residual,
     invert,
-    is_strictly_convex,
     lower_envelope,
     quarter_turn_params,
     sample_points,
@@ -76,7 +75,7 @@ class TestSolvePositiveDefinite:
             sol = solve_positive_definite(p)
             pts = sample_points(p.dim, 100, seed=1)
             assert transform_residual(p, sol, pts).max_abs <= 1e-8
-            assert is_strictly_convex(sol)
+            assert sol.spectrum.positive_definite()
 
     def test_constant_against_mpmath(self):
         # gamma of the closed form at 50 digits, from A = sqrt(tau) E and

@@ -4,7 +4,6 @@ import pytest
 from conftest import random_orthogonal, random_pd_matrix, symmetric_from_eigs
 from fenchelfix import (
     DEFAULT_TOL,
-    Definiteness,
     NotSymmetric,
     NumericalFailure,
     Singular,
@@ -15,12 +14,7 @@ from fenchelfix import (
     solve_self_adjoint,
 )
 from fenchelfix import linalg
-from fenchelfix.linalg import as_symmetric, is_singular
-
-
-def definiteness(m, tol=DEFAULT_TOL):
-    """The definiteness of a symmetric matrix, from its eigendecomposition."""
-    return eigendecompose(m, tol).definiteness(tol)
+from fenchelfix.linalg import as_symmetric, is_singular, symmetric_part
 
 
 def reconstruct(spec):
@@ -95,6 +89,54 @@ class TestAsSymmetric:
         # equal under ==, but not bitwise: the result is +0.0 in both places
         out = as_symmetric(np.array([[1.0, 0.0], [-0.0, 1.0]]))
         assert not np.signbit(out).any()
+
+
+class TestSymmetricPart:
+    def test_is_the_halved_sum_bitwise(self, rng):
+        for n in range(1, 9):
+            for scale in (1e-300, 1e-3, 1.0, 1e3, 1e300):
+                a = scale * rng.standard_normal((n, n))
+                want = 0.5 * (a + a.T)
+                assert symmetric_part(a).tobytes() == want.tobytes()
+
+    def test_bitwise_symmetric_matrix_is_returned_as_it_is(self, rng):
+        m = rng.standard_normal((4, 4))
+        m = m + m.T
+        m[0, 1] = m[1, 0] = -0.0
+        assert symmetric_part(m) is m
+
+    def test_zeros_of_opposite_sign_give_plus_zero(self):
+        out = symmetric_part(np.array([[1.0, 0.0], [-0.0, 1.0]]))
+        assert not np.signbit(out).any()
+
+
+# finite E whose entries, summed with their transposes, overflow
+HUGE_E = {
+    "1x1": [[1e308]],
+    "2x2": [[1.5e308, 1.0], [1.0 + 1e-15, -1.5e308]],
+}
+
+
+@pytest.mark.parametrize("e", HUGE_E.values(), ids=HUGE_E.keys())
+def test_symmetric_part_of_huge_e_is_finite_without_warning(e):
+    # (E + E^T)/2 overflowed to inf with a RuntimeWarning, and then was
+    # rejected as non-finite input (the suite makes every warning an error)
+    from fenchelfix import classify, lower_envelope
+
+    p = TransformParams(e, [0.0] * len(e), [0.0] * len(e), 1.0)
+    assert np.isfinite(p.symmetric_spectrum().eigenvalues).all()
+    assert np.isfinite(lower_envelope(p).A).all()
+    outcome = classify(p)
+    assert outcome.solution is not None and np.isfinite(outcome.solution.A).all()
+
+
+def test_symmetry_test_of_huge_nonsymmetric_e_does_not_overflow():
+    # E - E^T overflowed to inf with a RuntimeWarning before the test said no
+    from fenchelfix import Tag, classify
+
+    e = np.array([[0.0, 1e308], [-1e308, 0.0]])
+    assert not linalg.is_symmetric(e)
+    assert classify(TransformParams(e, [0.0, 0.0], [0.0, 0.0], 1.0)).tag is Tag.UNDETERMINED
 
 
 def assert_spectral_contract(m, spec, tol=1e-12):
@@ -403,39 +445,31 @@ class TestSolveMinNorm:
 
 class TestDefiniteness:
     def test_examples(self):
-        assert definiteness(np.eye(2)) is Definiteness.POSITIVE_DEFINITE
-        assert definiteness(np.diag([1.0, 0.0])) is Definiteness.POSITIVE_SEMIDEFINITE
-        assert definiteness(np.array([[2.0, 1.0], [1.0, 2.0]])) is Definiteness.POSITIVE_DEFINITE
-        assert definiteness(np.diag([1.0, -1.0])) is Definiteness.INDEFINITE
-        assert definiteness(-np.eye(3)) is Definiteness.NEGATIVE_DEFINITE
-        assert definiteness(np.diag([0.0, -2.0])) is Definiteness.NEGATIVE_SEMIDEFINITE
+        def psd_pd(m):
+            spec = eigendecompose(m)
+            return spec.psd(), spec.positive_definite()
+
+        assert psd_pd(np.eye(2)) == (True, True)
+        assert psd_pd(np.diag([1.0, 0.0])) == (True, False)
+        assert psd_pd(np.array([[2.0, 1.0], [1.0, 2.0]])) == (True, True)
+        assert psd_pd(np.diag([1.0, -1.0])) == (False, False)
+        assert psd_pd(-np.eye(3)) == (False, False)
+        assert psd_pd(np.diag([0.0, -2.0])) == (False, False)
 
     def test_invertible_psd_is_positive_definite(self, rng):
         # an invertible PSD operator has no zero eigenvalue, hence is PD
         for _ in range(30):
             n = int(rng.integers(1, 7))
             m = random_pd_matrix(rng, n, lo=0.05, hi=4.0)
-            assert definiteness(m) is Definiteness.POSITIVE_DEFINITE
+            assert eigendecompose(m).positive_definite()
 
-    @pytest.mark.parametrize(
-        "edge, kind",
-        [
-            (-1.0, Definiteness.POSITIVE_SEMIDEFINITE),
-            (1.0, Definiteness.POSITIVE_SEMIDEFINITE),
-            (-1.5, Definiteness.INDEFINITE),
-        ],
-    )
-    def test_band_edge_follows_psd(self, edge, kind):
-        # an eigenvalue exactly at -pd or +pd counts as zero, for psd and
-        # definiteness alike; one just outside the band does not
+    @pytest.mark.parametrize("edge, psd", [(-1.0, True), (1.0, True), (-1.5, False)])
+    def test_band_edge_follows_psd(self, edge, psd):
+        # an eigenvalue exactly at -pd or +pd counts as zero; one just
+        # outside the band does not
         spec = eigendecompose(np.diag([1.0, edge * DEFAULT_TOL.pd]))
         assert spec.eigenvalues[-1] == edge * DEFAULT_TOL.pd
-        assert spec.definiteness() is kind
-        assert spec.psd() is (kind is not Definiteness.INDEFINITE)
+        assert spec.psd() is psd
         assert not spec.positive_definite()
         neg = eigendecompose(np.diag([-1.0, -edge * DEFAULT_TOL.pd]))
-        flipped = {
-            Definiteness.POSITIVE_SEMIDEFINITE: Definiteness.NEGATIVE_SEMIDEFINITE,
-            Definiteness.INDEFINITE: Definiteness.INDEFINITE,
-        }
-        assert neg.definiteness() is flipped[kind]
+        assert not neg.psd() and not neg.positive_definite()

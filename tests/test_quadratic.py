@@ -7,7 +7,6 @@ from conftest import random_pd_instance, random_pd_matrix
 from test_acceptance import indefinite_corpus, pd_corpus
 from fenchelfix import (
     DEFAULT_TOL,
-    Definiteness,
     DimMismatch,
     EmptyList,
     NotPositiveDefinite,
@@ -22,8 +21,6 @@ from fenchelfix import (
     energy,
     invert,
     linalg,
-    is_convex,
-    is_strictly_convex,
     sample_points,
 )
 
@@ -364,20 +361,20 @@ class TestDualParams:
 
 
 class TestConvexity:
+    # a quadratic is convex iff its leading coefficient is PSD, and strictly
+    # convex iff it is positive definite
     def test_examples(self):
-        assert is_strictly_convex(energy(2))
+        assert energy(2).spectrum.positive_definite()
         flat = QuadraticFn(np.diag([1.0, 0.0]), np.zeros(2), 0.0)
-        assert is_convex(flat) and not is_strictly_convex(flat)
+        assert flat.spectrum.psd() and not flat.spectrum.positive_definite()
         saddle = QuadraticFn(np.diag([1.0, -1.0]), np.zeros(2), 0.0)
-        assert not is_convex(saddle)
+        assert not saddle.spectrum.psd()
 
     def test_band_edge_is_convex_as_psd_says(self):
-        # an eigenvalue exactly at -pd counts as zero: is_convex, psd and
-        # definiteness give one answer
+        # an eigenvalue exactly at -pd counts as zero: convex, not strictly
         edge = QuadraticFn(np.diag([1.0, -DEFAULT_TOL.pd]), np.zeros(2), 0.0)
-        assert is_convex(edge) and edge.spectrum.psd()
-        assert edge.spectrum.definiteness() is Definiteness.POSITIVE_SEMIDEFINITE
-        assert not is_strictly_convex(edge)
+        assert edge.spectrum.psd()
+        assert not edge.spectrum.positive_definite()
 
 
 class TestDirectSum:
