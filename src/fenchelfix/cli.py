@@ -4,19 +4,18 @@ One process per invocation, config in, JSON report out.  Every command runs
 through one pipeline, ``_run``: check that ``--out`` can be written, load the
 config (``demo`` has none), parse the options and tolerances once, call the
 command's handler from ``_COMMANDS``, and write the report shell with the
-handler's result.  ``solve`` reports what ``classify``'s case analysis
-constructs.  Reports are byte identical for identical config and seed; wall
-time goes to stderr so it never perturbs the report stream.  Exit codes:
-0 determinate outcome, 2 input error (overflow on finite input too),
-3 undetermined classification, 4 internal failure (a failed demo or oracle
-check included).
+handler's result; ``serialize`` reads every config input.  ``solve``
+reports what ``classify``'s case analysis constructs.  Reports are byte
+identical for identical config and seed; wall time goes to stderr so it
+never perturbs the report stream.  Exit codes: 0 determinate outcome, 2
+input error (overflow on finite input too), 3 undetermined classification,
+4 internal failure (a failed demo or oracle check included).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -29,7 +28,6 @@ from .errors import FenchelFixError, NumericalFailure, OutOfRange, ParseError, U
 from .fixpoint import Classification, Tag
 from .quadratic import QuadraticFn, TransformParams
 from .sampling import sample_points
-from .serialize import _require
 from .tolerances import DEFAULT_TOL, Tolerances
 
 SCHEMA_VERSION = 1
@@ -40,95 +38,10 @@ EXIT_UNDETERMINED = 3
 EXIT_INTERNAL = 4
 
 
-def _json_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text} is not a finite JSON number (a sampled +inf is written \"inf\")")
-    return value
-
-
-def _load_config(path: str) -> dict:
-    """The config as RFC 8259 JSON with finite numbers: Python's ``json`` would
-    accept NaN, Infinity, -Infinity and a number past the float range (1e400)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, parse_float=_json_float, parse_constant=_json_float)
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8 or an over-long integer
-        raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError("config root must be an object")
-    return obj
-
-
-def _integer(value) -> int:
-    if isinstance(value, bool) or int(value) != value:
-        raise ValueError("must be an integer")
-    return int(value)
-
-
-def _count(value) -> int:
-    if _integer(value) < 1:
-        raise ValueError("must be at least 1")
-    return int(value)
-
-
-def _real(check: Callable[[float], bool], rule: str) -> Callable[[object], float]:
-    """Conversion of a JSON number (not a bool or a string) that passes ``check``."""
-    def convert(value) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not check(value):
-            raise ValueError(rule)
-        return float(value)
-    return convert
-
-
-_finite = _real(math.isfinite, "must be a finite number")
-_radius = _real(lambda x: 0.0 < x < math.inf, "must be positive and finite")
-_exclusion = _real(lambda x: 0.0 <= x < math.inf, "must be nonnegative and finite")
-_scale = _real(lambda x: 0.0 < x < math.inf, "tolerance scale must be positive and finite")
-
-
-def _window(value) -> Optional[tuple[float, float]]:
-    if value is None:
-        return None
-    if not isinstance(value, list) or len(value) != 2 or not _finite(value[0]) < _finite(value[1]):
-        raise ValueError("must be [lo, hi] with lo < hi")
-    return float(value[0]), float(value[1])
-
-
-# run options: name -> (conversion, default)
-_OPTIONS = {
-    "points": (_count, 100),
-    "seed": (_integer, 0),
-    "tol_scale": (_scale, 1.0),
-    "radius": (_radius, 3.0),
-    "window": (_window, None),
-    "boundary_exclusion": (_exclusion, 0.0),
-}
-
-
-def _options(config: dict, args) -> dict:
-    """The config's ``options``, overridden by the command-line flags and
-    converted to typed values once."""
-    raw = config.get("options", {})
-    if not isinstance(raw, dict):
-        raise ParseError("config 'options' must be an object")
-    flags = {k: getattr(args, k) for k in ("points", "seed", "tol_scale")}
-    raw = {**raw, **{k: v for k, v in flags.items() if v is not None}}
-    for key in raw:
-        if key not in _OPTIONS:
-            raise ParseError(f"unknown option {key!r}")
-    opts = {}
-    for key, (convert, default) in _OPTIONS.items():
-        try:
-            opts[key] = convert(raw[key]) if key in raw else default
-        except (LookupError, OverflowError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad option {key!r}: {exc}") from exc
-    return opts
-
-
 def _scan_points(p: TransformParams, opts: dict) -> np.ndarray:
+    cap = serialize.MAX_VALUES
+    if opts["points"] * p.dim > cap:
+        raise ParseError(f"option 'points' times dimension {p.dim} is over the cap of {cap} values")
     return sample_points(p.dim, opts["points"], radius=opts["radius"], seed=opts["seed"])
 
 
@@ -163,24 +76,15 @@ def _report_shell(command: str, config: dict, opts: dict, tol: Tolerances, resul
     }
 
 
-def _candidate(config: dict, command: str, kinds: tuple):
-    """The config's ``candidate``, parsed: exactly one entry, keyed by one of
-    ``kinds``."""
-    cand = config.get("candidate")
-    if not isinstance(cand, dict) or len(cand) != 1 or not set(cand) <= set(kinds):
-        raise ParseError(f"{command} needs exactly one candidate ({' or '.join(kinds)})")
-    ((kind, raw),) = cand.items()
-    parse = serialize.quadratic_from_json if kind == "quadratic" else serialize.sampled_from_json
-    return parse(raw)
-
-
 def _outcome_exit(outcome: Classification) -> int:
     return EXIT_UNDETERMINED if outcome.tag is Tag.UNDETERMINED else EXIT_OK
 
 
 def cmd_classify(args, config: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
     params = serialize.params_from_json(config.get("params", {}))
-    candidate = _candidate(config, "classify", ("quadratic",)) if "candidate" in config else None
+    candidate = None
+    if "candidate" in config:
+        candidate = serialize.candidate_from_json(config["candidate"], "classify", "quadratic")
     pts = _scan_points(params, opts)
     outcome = fixpoint.classify(params, candidate=candidate, points=pts, tol=tol)
     result = {"classification": serialize.classification_to_json(outcome)}
@@ -207,38 +111,24 @@ def cmd_solve(args, config: dict, opts: dict, tol: Tolerances) -> tuple[dict, in
 
 def cmd_verify(args, config: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
     params = serialize.params_from_json(config.get("params", {}))
-    candidate = _candidate(config, "verify", ("quadratic", "sampled"))
-    if isinstance(candidate, QuadraticFn):
-        residual = fixpoint.transform_residual(params, candidate, _scan_points(params, opts), tol)
-        form = fixpoint.verify_form_quadratic(params, candidate, tol)
+    cand = serialize.candidate_from_json(config.get("candidate"), "verify", "quadratic", "sampled")
+    if isinstance(cand, QuadraticFn):
+        residual = fixpoint.transform_residual(params, cand, _scan_points(params, opts), tol)
+        form = fixpoint.verify_form_quadratic(params, cand, tol)
         result = {
             "residual": serialize.report_to_json(residual),
             "formResidual": serialize.report_to_json(form),
         }
     else:
         residual = discrete.grid_fixed_point_residual(
-            params, candidate, window=opts["window"], boundary_exclusion=opts["boundary_exclusion"]
+            params, cand, window=opts["window"], boundary_exclusion=opts["boundary_exclusion"]
         )
         result = {"residual": serialize.report_to_json(residual)}
     return result, EXIT_OK
 
 
-def _slopes(raw) -> np.ndarray:
-    """The ``slopes`` entry: a list of numbers, or ``{"start", "stop", "count"}`` for
-    evenly spaced slopes; either way finite and strictly increasing."""
-    try:
-        if isinstance(raw, dict):
-            raw = np.linspace(_finite(raw["start"]), _finite(raw["stop"]), _count(raw["count"]))
-        else:
-            raw = serialize._numbers(raw, "slopes")
-        return discrete._check_grid(raw)
-    except (LookupError, OverflowError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad slopes: {exc}") from exc
-
-
 def cmd_conjugate(args, config: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
-    fn = serialize.sampled_from_json(_require(config, "input", "config"))
-    slopes = _slopes(_require(config, "slopes", "config"))
+    fn, slopes = serialize.conjugate_from_json(config)
     conj = discrete.fast_conjugate(fn, slopes)
     result = {"conjugate": serialize.sampled_to_json(conj)}
     if not args.check:
@@ -430,8 +320,8 @@ def _run(args) -> int:
     """Load, parse options and tolerances, run the handler, write the report."""
     command = _COMMANDS[args.command]
     _check_writable(args.out)
-    config = _load_config(args.config) if command.needs_config else {}
-    opts = _options(config, args)
+    config = serialize.load_config(args.config) if command.needs_config else {}
+    opts = serialize.options_from_json(config.get("options", {}), vars(args))
     tol = DEFAULT_TOL.scaled(opts["tol_scale"])
     try:  # overflow on finite input, or the NaN it makes, is an input error, not a warning
         with np.errstate(over="raise", invalid="raise"):

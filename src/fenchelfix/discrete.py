@@ -50,7 +50,8 @@ from .reports import ResidualReport, report_from_residuals
 INF = np.inf
 
 
-def _check_grid(points) -> np.ndarray:
+def check_grid(points) -> np.ndarray:
+    """``points`` as a 1-D float grid, nonempty, finite and strictly increasing."""
     p = np.asarray(points, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise DimMismatch("grid must be 1-D with at least 1 point")
@@ -97,11 +98,11 @@ class SampledFn:
     values: np.ndarray
 
     def __post_init__(self):
-        self._set(_owned(_check_grid(self.points), self.points), self.values)
+        self._set(_owned(check_grid(self.points), self.points), self.values)
 
     @classmethod
     def _on_grid(cls, points: np.ndarray, values) -> "SampledFn":
-        """A function on ``points``, a read-only array that ``_check_grid``
+        """A function on ``points``, a read-only array that ``check_grid``
         has already passed, so the grid is not checked a second time."""
         f = object.__new__(cls)
         f._set(points, values)
@@ -148,7 +149,7 @@ def sample(fn: Callable[[float], float], points) -> SampledFn:
     ``values``; any other callable is called once per node with the node as
     a Python ``float``, whose arithmetic is faster than numpy scalars'.
     """
-    p = _check_grid(points)
+    p = check_grid(points)
     if isinstance(fn, SignFlipSolution):
         values = fn.values(p)
     else:
@@ -165,7 +166,7 @@ def uniform_grid(lo: float, hi: float, h: float) -> np.ndarray:
 def brute_conjugate(f: SampledFn, slopes) -> SampledFn:
     """Oracle conjugate: for each slope the max of s*x_i - f(x_i) over all
     finite nodes, evaluated exactly on the grid; a zero maximum is +0.0."""
-    s = _check_grid(slopes)
+    s = check_grid(slopes)
     mask = f.finite_mask
     xs = f.points[mask]
     vs = f.values[mask]
@@ -443,7 +444,7 @@ def fast_conjugate(f: SampledFn, slopes) -> SampledFn:
     oracle uses and a zero maximum is +0.0 on both routes, so the two are
     bitwise equal.
     """
-    s = _check_grid(slopes)
+    s = check_grid(slopes)
     values = _frozen(_conjugate_at(f, s))
     return SampledFn._on_grid(_owned(s, slopes), values)
 

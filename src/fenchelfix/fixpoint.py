@@ -114,7 +114,7 @@ def solve_self_adjoint(
     m, rhs = _slope_system(p, spec.apply(lambda d: rt * np.sign(d)))
     # I + S has the eigenvectors of E and eigenvalues sqrt(tau) sign(D) + 1, in D's order
     m_spec = linalg.Spectral(rt * np.sign(spec.eigenvalues) + 1.0, spec.vectors)
-    b = linalg.solve_min_norm(m, rhs, tol, spec=m_spec)
+    b = linalg.solve_min_norm(m, rhs, m_spec, tol)
     if b is None:
         return None
     return QuadraticFn(a, b, _constant(p, spec.apply(lambda d: 1.0 / (rt * np.abs(d))), b))

@@ -163,28 +163,17 @@ def invert(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return (vt.T / s) @ u.T
 
 
-def solve_min_norm(
-    m, rhs, tol: Tolerances = DEFAULT_TOL, spec: Optional[Spectral] = None
-) -> Optional[np.ndarray]:
-    """Minimum-norm solution of M x = rhs, or None when inconsistent.
-
-    Symmetric matrices are solved through the spectral pseudo-inverse,
-    using ``spec`` when the caller already holds the decomposition of M,
-    general ones through least squares.  The candidate is accepted when
-    ``||M x - rhs|| <= cons_rel * (1 + ||rhs||)``; inconsistency is a value
-    (None), not an error, because callers use it as a nonexistence signal.
-    """
+def solve_min_norm(m, rhs, spec: Spectral, tol: Tolerances = DEFAULT_TOL) -> Optional[np.ndarray]:
+    """Minimum-norm solution of M x = rhs for symmetric M = ``spec``, by the
+    spectral pseudo-inverse, or None when ``||M x - rhs|| > cons_rel * (1 +
+    ||rhs||)``: inconsistency is a value, not an error, because callers use
+    it as a nonexistence signal."""
     a = as_matrix(m)
     b = as_vector(rhs, a.shape[0])
-    if spec is None and is_symmetric(a, tol):
-        spec = eigendecompose(a, tol)
-    if spec is not None:
-        cutoff = _cutoff(spec.eigenvalues, tol)
-        coeffs = spec.vectors.T @ b
-        inv_d = np.where(np.abs(spec.eigenvalues) > cutoff, spec.eigenvalues, np.inf)
-        x = spec.vectors @ (coeffs / inv_d)
-    else:
-        x = _lapack(np.linalg.lstsq, a, b, rcond=None)[0]
+    cutoff = _cutoff(spec.eigenvalues, tol)
+    coeffs = spec.vectors.T @ b
+    inv_d = np.where(np.abs(spec.eigenvalues) > cutoff, spec.eigenvalues, np.inf)
+    x = spec.vectors @ (coeffs / inv_d)
     residual = float(np.linalg.norm(a @ x - b))
     if residual > tol.cons_rel * (1.0 + float(np.linalg.norm(b))):
         return None

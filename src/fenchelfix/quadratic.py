@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import linalg
-from .errors import DimMismatch, EmptyList, NotPositiveDefinite
+from .errors import DimMismatch, EmptyList, NotPositiveDefinite, OutOfRange
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -72,7 +72,8 @@ class QuadraticFn:
         """Values at the rows of a ``(K, dim)`` array, in one array pass.
 
         The array is validated once, with the error types of ``__call__``;
-        each value agrees with ``__call__`` up to rounding.
+        each value agrees with ``__call__`` up to rounding.  A value that is
+        not finite is an overflow, which ``einsum`` does not flag: ``OutOfRange``.
         """
         x = np.asarray(xs, dtype=float)
         if x.ndim != 2:
@@ -81,7 +82,10 @@ class QuadraticFn:
             raise DimMismatch(f"expected dimension {self.dim}, got {x.shape[1]}")
         if not np.isfinite(x).all():
             raise ValueError("point entries must be finite")
-        return 0.5 * np.einsum("ij,ij->i", x @ self.A, x) + x @ self.b + self.gamma
+        values = 0.5 * np.einsum("ij,ij->i", x @ self.A, x) + x @ self.b + self.gamma
+        if not np.isfinite(values).all():
+            raise OutOfRange("the input overflows the float range in a quadratic's value")
+        return values
 
 
 def energy(dim: int) -> QuadraticFn:

@@ -727,6 +727,34 @@ def test_non_finite_json_number_exit_two(tmp_path, capsys, literal, field):
     assert not out.exists()
 
 
+ONE_LINE = {"points": [0.0, 1.0], "values": [0.0, 1.0]}
+OVER_THE_CAP = {
+    "points_flag": (["classify", "--points", str(10**18)], identity_config(n=1), "'points'"),
+    "points_option": (
+        ["classify"], {**identity_config(n=1), "options": {"points": 1e18}}, "'points'"
+    ),
+    "points_times_dim": (["solve", "--points", "5000001"], identity_config(n=2), "dimension 2"),
+    "slope_count": (
+        ["conjugate"],
+        {"input": ONE_LINE, "slopes": {"start": -1.0, "stop": 1.0, "count": 1e18}},
+        "bad slopes: count",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, payload, key", OVER_THE_CAP.values(), ids=list(OVER_THE_CAP))
+def test_counts_over_the_cap_exit_two(tmp_path, capsys, argv, payload, key):
+    # 1e18 values failed the allocation (exit 4, internal error MemoryError);
+    # the cap is on points times dimension, so 5e6 points at dim 2 are over it
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "r.json"
+    assert run(tmp_path, argv[0], "--config", cfg, *argv[1:], "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert key in err and "over the cap of 10000000" in err
+    assert "Traceback" not in err and "internal error" not in err
+    assert not out.exists()
+
+
 HALF_SQUARE = {"points": [-5, -2.5, 0, 2.5, 5], "values": [12.5, 3.125, 0, 3.125, 12.5]}
 ENERGY_1D = {"quadratic": {"A": [[1.0]], "b": [0.0], "gamma": 0.0}}
 

@@ -2,8 +2,8 @@
 
 Configs for ``classify``, ``solve``, ``verify`` and ``conjugate`` are built
 from valid and malformed parts (booleans, strings, NaN, wrong sizes, ragged
-matrices, missing keys, bad options) and run through ``cli.main`` in
-process.  Every run must end in a determinate outcome (0), an input error
+matrices, missing keys, bad options, counts over the cap) and run through
+``cli.main`` in process.  Every run must end in a determinate outcome (0), an input error
 (2) or an undetermined classification (3): never an internal error, and
 never an exception that escapes ``main``.  A bool or a string anywhere in
 the params, a quadratic candidate or a slope list is an input error, and
@@ -31,6 +31,9 @@ REALS = st.integers(0, 31).flatmap(
 MALFORMED = st.sampled_from(
     [True, False, None, "1e0", "abc", [], {}, float("nan"), float("inf"), -1, 0, 2.7]
 )
+# counts over the cap of 1e7 values at any dimension; without it, 1e18 fails
+# the allocation (an internal error) and 1e7 + 1 allocates 80 MB or more
+OVER_CAP = st.sampled_from([10**7 + 1, 10**18, 1e18])
 
 
 # true one time in eight; not at a bound of the range, which hypothesis
@@ -115,7 +118,7 @@ OPTIONS = mostly(
     st.fixed_dictionaries(
         {},
         optional={
-            "points": mostly(st.integers(1, 40)),
+            "points": mostly(st.integers(1, 40), st.one_of(MALFORMED, OVER_CAP)),
             "seed": mostly(st.integers(-50_000, 50)),
             "tol_scale": mostly(st.floats(0.01, 100.0)),
             "radius": mostly(st.floats(0.1, 5.0)),
@@ -132,7 +135,7 @@ OPTIONS = mostly(
 
 @st.composite
 def slope_ranges(draw):
-    count = draw(mostly(st.integers(1, 12)))
+    count = draw(mostly(st.integers(1, 12), st.one_of(MALFORMED, OVER_CAP)))
     return drop_one_sometimes(draw, {"start": draw(NUMBERS), "stop": draw(NUMBERS), "count": count})
 
 

@@ -504,13 +504,13 @@ class TestSampledFnOwnsItsArrays:
 class TestGridCheckedOnce:
     def test_each_grid_is_checked_once(self, monkeypatch):
         checked = []
-        original = discrete._check_grid
+        original = discrete.check_grid
 
         def counting(points):
             checked.append(len(points))
             return original(points)
 
-        monkeypatch.setattr(discrete, "_check_grid", counting)
+        monkeypatch.setattr(discrete, "check_grid", counting)
         f = sample(SignFlipSolution("half_square"), uniform_grid(-1.0, 1.0, 0.5))
         assert checked == [5]
         fast_conjugate(f, [-1.0, 0.0, 1.0])

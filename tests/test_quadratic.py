@@ -10,6 +10,7 @@ from fenchelfix import (
     DimMismatch,
     EmptyList,
     NotPositiveDefinite,
+    OutOfRange,
     QuadraticFn,
     SampledFn,
     TransformParams,
@@ -208,6 +209,15 @@ class TestValues:
             with pytest.raises(ValueError) as single:
                 q(xs[1])
             assert batched.type is single.type is ValueError
+
+    @pytest.mark.parametrize(
+        "a, b, x", [([[5e307]], [0.0], [[3.0]]), ([[5e307]], [-1e308], [[3.0]])], ids=["inf", "nan"]
+    )
+    def test_overflow_is_out_of_range(self, a, b, x):
+        # einsum sets no floating-point flag: the value was inf (or, with a
+        # slope term of the other sign, NaN) with no warning
+        with np.errstate(all="ignore"), pytest.raises(OutOfRange, match="overflows the float range"):
+            QuadraticFn(a, b).values(x)
 
 
 class TestConjugate:
