@@ -18,8 +18,9 @@ goes to its slope's position.  ``biconjugate``
 interpolates over the same table; it returns ``f`` itself when every node
 between the first and the last finite one is a hull vertex.
 
-A ``SampledFn`` owns read-only arrays: a writeable input is copied, an
-array that is already read-only is shared.  ``sample`` evaluates a
+A ``SampledFn`` keeps read-only arrays under ``linalg.readonly``'s rule:
+the library's own arrays are frozen in place, and a caller's array is
+copied unless it is read-only and owns its data.  ``sample`` evaluates a
 ``SignFlipSolution`` in one array pass and calls any other callable once
 per node, with a Python ``float``.
 
@@ -44,6 +45,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import AllInfinite, DimMismatch, OutOfRange, Singular
+from .linalg import readonly
 from .quadratic import TransformParams
 from .reports import ResidualReport, report_from_residuals
 
@@ -73,55 +75,42 @@ def _check_values(values, size: int) -> np.ndarray:
     return v
 
 
-def _owned(a: np.ndarray, given) -> np.ndarray:
-    """``a`` read-only; a copy first when it is the caller's writeable array."""
-    if a is given and a.flags.writeable:
-        a = a.copy()
-    a.flags.writeable = False
-    return a
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class SampledFn:
     """Extended-real values on a strictly increasing 1-D grid.
 
-    The arrays are read-only and owned: a writeable input is copied, so
-    later writes by the caller cannot change the function or its hull.
+    The arrays are read-only (``linalg.readonly``), so later writes by
+    the caller cannot change the function or its hull.
     """
 
     points: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        self._set(_owned(check_grid(self.points), self.points), self.values)
+        self._set(readonly(check_grid(self.points), self.points), self.values, self.values)
 
     @classmethod
-    def _on_grid(cls, points: np.ndarray, values) -> "SampledFn":
-        """A function on ``points``, a read-only array that ``check_grid``
-        has already passed, so the grid is not checked a second time."""
+    def _on_grid(cls, points: np.ndarray, values: np.ndarray) -> "SampledFn":
+        """A function on ``points``, read-only and passed by ``check_grid``
+        (not checked again), with ``values`` the library made."""
         f = object.__new__(cls)
         f._set(points, values)
         return f
 
-    def _set(self, points: np.ndarray, values) -> None:
+    def _set(self, points: np.ndarray, values, given=None) -> None:
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "values", _owned(_check_values(values, points.size), values))
+        object.__setattr__(self, "values", readonly(_check_values(values, points.size), given))
 
     @cached_property
     def finite_mask(self) -> np.ndarray:
-        return _frozen(np.isfinite(self.values))
+        return readonly(np.isfinite(self.values))
 
     @cached_property
     def hull(self) -> np.ndarray:
         """Indices into ``points`` of the lower convex hull vertices of the
         finite nodes, computed once per function."""
         fin = np.flatnonzero(self.finite_mask)
-        return _frozen(fin[lower_hull(self.points[fin], self.values[fin])])
+        return readonly(fin[lower_hull(self.points[fin], self.values[fin])])
 
     @cached_property
     def _table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,7 +121,7 @@ class SampledFn:
         edges = np.diff(hv)
         with np.errstate(over="ignore"):
             edges /= np.diff(hx)
-        return _frozen(hx), _frozen(hv), _frozen(edges)
+        return readonly(hx), readonly(hv), readonly(edges)
 
     @cached_property
     def _spacing(self) -> float:
@@ -154,7 +143,7 @@ def sample(fn: Callable[[float], float], points) -> SampledFn:
         values = fn.values(p)
     else:
         values = np.array([float(fn(x)) for x in p.tolist()])
-    return SampledFn._on_grid(_owned(p, points), _frozen(values))
+    return SampledFn._on_grid(readonly(p, points), values)
 
 
 def uniform_grid(lo: float, hi: float, h: float) -> np.ndarray:
@@ -176,7 +165,7 @@ def brute_conjugate(f: SampledFn, slopes) -> SampledFn:
         sb = s[i : i + block]
         out[i : i + block] = np.max(sb[:, None] * xs[None, :] - vs[None, :], axis=1)
     out += 0.0
-    return SampledFn._on_grid(_owned(s, slopes), _frozen(out))
+    return SampledFn._on_grid(readonly(s, slopes), out)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +434,7 @@ def fast_conjugate(f: SampledFn, slopes) -> SampledFn:
     bitwise equal.
     """
     s = check_grid(slopes)
-    values = _frozen(_conjugate_at(f, s))
-    return SampledFn._on_grid(_owned(s, slopes), values)
+    return SampledFn._on_grid(readonly(s, slopes), _conjugate_at(f, s))
 
 
 def biconjugate(f: SampledFn) -> SampledFn:
@@ -480,7 +468,7 @@ def biconjugate(f: SampledFn) -> SampledFn:
     out[: f.hull[0]] = INF
     out[f.hull[-1] + 1 :] = INF
     out[f.hull] = hv
-    return SampledFn._on_grid(f.points, _frozen(out))
+    return SampledFn._on_grid(f.points, out)
 
 
 # ---------------------------------------------------------------------------

@@ -126,11 +126,12 @@ def verify_form_quadratic(
     """Residuals of the three relations a quadratic fixed point obeys, for any E.
 
     With S = tau E^T A^{-1}: A = S E, the slope system (I + S) b = w + S c,
-    and gamma = (beta + tau/2 <c - b, A^{-1}(c - b)>) / (tau + 1).
+    and gamma = (beta + tau/2 <c - b, A^{-1}(c - b)>) / (tau + 1).  A must
+    be positive definite: ``QuadraticFn.a_inverse`` is the gate.
     """
     if p.dim != q.dim:
         raise DimMismatch("transform and quadratic dimensions differ")
-    a_inv = q.spectrum.inverse(tol)
+    a_inv = q.a_inverse(tol)
     s = p.tau * p.E.T @ a_inv
     m, rhs = _slope_system(p, s)
     r1 = float(np.abs(q.A - s @ p.E).max())
@@ -419,10 +420,7 @@ def functional_differential_residual(
     quadratic with positive definite A the gradient inverse is explicit:
     u = A^{-1}(y - b).
     """
-    spec = q.spectrum
-    if not spec.positive_definite(tol):
-        raise NotPositiveDefinite("explicit gradient inverse needs positive definite A")
-    a_inv = spec.apply(lambda d: 1.0 / d)
+    a_inv = q.a_inverse(tol)
     pts = _rows(p, points)
     y = pts @ p.E.T + p.c
     u = (y - q.b) @ a_inv.T

@@ -7,13 +7,15 @@ identical input gives identical bytes on the same numpy/BLAS build.  A
 applies functions of the eigenvalues (``apply``), which is how the package
 forms |E|, sign(E), inverses and pseudo-inverse solves of symmetric
 matrices.  Every symmetric part is formed by ``symmetric_part``, which
-cannot overflow on finite input.  A general matrix is inverted from one
-SVD (``invert``), or tested for singularity from its singular values alone
-(``is_singular``).
-There is one singularity rule: the smallest |eigenvalue| or singular value
-is at most ``sing_rel * max(1, largest)``.  Matrices are plain ``numpy``
-arrays; validation helpers enforce the symmetry/finiteness contracts at the
-entry points.  A LAPACK failure surfaces as ``NumericalFailure``.
+cannot overflow on finite input.  Every array a value type keeps (a
+quadratic's, a transform's, a sampled function's, a decomposition's) is
+made read-only by ``readonly``, the one ownership rule.  A general matrix
+is inverted from one SVD (``invert``), or tested for singularity from its
+singular values alone (``is_singular``).  There is one singularity rule:
+the smallest |eigenvalue| or singular value is at most
+``sing_rel * max(1, largest)``.  Matrices are plain ``numpy`` arrays;
+validation helpers enforce the symmetry/finiteness contracts at the entry
+points.  A LAPACK failure surfaces as ``NumericalFailure``.
 """
 
 from __future__ import annotations
@@ -50,6 +52,16 @@ def as_matrix(m) -> np.ndarray:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
+    return a
+
+
+def readonly(a: np.ndarray, given=None) -> np.ndarray:
+    """``a`` read-only, the one ownership rule: an array the library made is
+    frozen in place; the caller's array ``given`` (when ``a`` is it) is copied
+    first unless it is read-only and owns its data, and so is any view."""
+    if not a.flags.owndata or (a is given and a.flags.writeable):
+        a = a.copy(order="K")
+    a.flags.writeable = False
     return a
 
 
@@ -110,7 +122,7 @@ class Spectral(NamedTuple):
 
 
 def eigendecompose(m, tol: Tolerances = DEFAULT_TOL) -> Spectral:
-    """Eigendecomposition of a symmetric matrix by LAPACK's ``eigh``.
+    """Eigendecomposition of a symmetric matrix by LAPACK's ``eigh``, read-only.
 
     Eigenvalues are returned in descending order; each eigenvector has its
     first component of magnitude above 1e-12 made positive (a unit vector
@@ -118,11 +130,10 @@ def eigendecompose(m, tol: Tolerances = DEFAULT_TOL) -> Spectral:
     """
     a = as_symmetric(m, tol)
     d, u = _lapack(np.linalg.eigh, a)
-    d = d[::-1].copy()
     u = u[:, ::-1]
     lead = (np.abs(u) > 1e-12).argmax(axis=0)
     flip = u[lead, np.arange(u.shape[1])] < 0.0
-    return Spectral(d, np.where(flip, -u, u))
+    return Spectral(readonly(d[::-1]), readonly(np.where(flip, -u, u)))
 
 
 def _lapack(routine, *args, **kwargs):

@@ -22,12 +22,6 @@ from .errors import DimMismatch, EmptyList, NotPositiveDefinite, OutOfRange
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
-def _frozen_array(value) -> np.ndarray:
-    a = np.array(value, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class QuadraticFn:
     """x -> 1/2 <Ax, x> + <b, x> + gamma with symmetric leading coefficient."""
@@ -41,8 +35,8 @@ class QuadraticFn:
         b = linalg.as_vector(self.b, a.shape[0])
         if not -np.inf < float(self.gamma) < np.inf:
             raise ValueError("gamma must be finite")
-        object.__setattr__(self, "A", _frozen_array(a))
-        object.__setattr__(self, "b", _frozen_array(b))
+        object.__setattr__(self, "A", linalg.readonly(a, self.A))
+        object.__setattr__(self, "b", linalg.readonly(b, self.b))
         object.__setattr__(self, "gamma", float(self.gamma))
 
     @property
@@ -53,6 +47,12 @@ class QuadraticFn:
     def spectrum(self) -> linalg.Spectral:
         """Eigendecomposition of A, computed once (A is read-only)."""
         return linalg.eigendecompose(self.A)
+
+    def a_inverse(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+        """A^{-1}, behind the one gate on it: A positive definite within ``tol``."""
+        if not self.spectrum.positive_definite(tol):
+            raise NotPositiveDefinite("inverting A needs a positive definite leading coefficient")
+        return self.spectrum.apply(lambda d: 1.0 / d)
 
     def __call__(self, x) -> float:
         """The value at one point, checked once.
@@ -109,9 +109,8 @@ class TransformParams:
         w = linalg.as_vector(self.w, e.shape[0])
         if not (0.0 < float(self.tau) < np.inf and -np.inf < float(self.beta) < np.inf):
             raise ValueError("tau must be positive and finite, and beta finite")
-        object.__setattr__(self, "E", _frozen_array(e))
-        object.__setattr__(self, "c", _frozen_array(c))
-        object.__setattr__(self, "w", _frozen_array(w))
+        for name, value in (("E", e), ("c", c), ("w", w)):
+            object.__setattr__(self, name, linalg.readonly(value, getattr(self, name)))
         object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "beta", float(self.beta))
 
@@ -147,21 +146,26 @@ class DualParams:
     rho: float
 
 
+def _finite_quadratic(a: np.ndarray, b: np.ndarray, gamma: float, what: str) -> QuadraticFn:
+    """The quadratic (a, b, gamma), or ``OutOfRange`` when finite inputs overflowed."""
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(gamma)):
+        raise OutOfRange(f"the input overflows the float range in {what} of a quadratic")
+    return QuadraticFn(linalg.readonly(a), linalg.readonly(b), gamma)
+
+
 def conjugate_quadratic(q: QuadraticFn, tol: Tolerances = DEFAULT_TOL) -> QuadraticFn:
     """Closed-form conjugate of a quadratic with positive definite A.
 
     Conjugating twice returns the original function.  Quadratics whose
     leading coefficient is merely semidefinite have conjugates that are
     +inf off a subspace and are out of scope here (use the sampled-grid
-    transform instead).
+    transform instead).  An overflow raises ``OutOfRange``.
     """
-    spec = q.spectrum
-    if not spec.positive_definite(tol):
-        raise NotPositiveDefinite("conjugation needs a positive definite leading coefficient")
-    a_inv = spec.apply(lambda d: 1.0 / d)
-    b_star = -a_inv @ q.b
-    gamma_star = 0.5 * float(q.b @ a_inv @ q.b) - q.gamma
-    return QuadraticFn(a_inv, b_star, gamma_star)
+    a_inv = q.a_inverse(tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite_quadratic checks
+        b_star = -a_inv @ q.b
+        gamma_star = 0.5 * float(q.b @ a_inv @ q.b) - q.gamma
+    return _finite_quadratic(a_inv, b_star, gamma_star, "the conjugate")
 
 
 def apply_transform(
@@ -171,16 +175,17 @@ def apply_transform(
 
     The leading coefficient ``tau E^T A^{-1} E`` is symmetrized here: its
     rounding asymmetry can exceed the symmetry tolerance ``QuadraticFn``
-    applies when E is ill-conditioned.
+    applies when E is ill-conditioned.  An overflow raises ``OutOfRange``.
     """
     if p.dim != q.dim:
         raise DimMismatch("transform and quadratic dimensions differ")
     qs = conjugate_quadratic(q, tol)
     e, c, w, tau = p.E, p.c, p.w, p.tau
-    a_t = linalg.symmetric_part(tau * (e.T @ qs.A @ e))
-    b_t = tau * (e.T @ (qs.A @ c + qs.b)) + w
-    gamma_t = tau * (0.5 * float(c @ qs.A @ c) + float(qs.b @ c) + qs.gamma) + p.beta
-    return QuadraticFn(a_t, b_t, gamma_t)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite_quadratic checks
+        a_t = linalg.symmetric_part(tau * (e.T @ qs.A @ e))
+        b_t = tau * (e.T @ (qs.A @ c + qs.b)) + w
+        gamma_t = tau * (0.5 * float(c @ qs.A @ c) + float(qs.b @ c) + qs.gamma) + p.beta
+    return _finite_quadratic(a_t, b_t, gamma_t, "the transform")
 
 
 def dual_params(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> DualParams:

@@ -138,10 +138,7 @@ def _values_out(values: np.ndarray) -> list:
 
 
 def _values_in(raw, ctx: str) -> np.ndarray:
-    sentinel = ("inf", "+inf", "infinity")
-    return _numbers(
-        [INF if isinstance(v, str) and v.strip().lower() in sentinel else v for v in raw], ctx
-    )
+    return _numbers([INF if v == "inf" else v for v in raw], ctx)
 
 
 def sampled_to_json(f: SampledFn) -> dict:

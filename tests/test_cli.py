@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fenchelfix
-from fenchelfix import cli, discrete, fixpoint
+from fenchelfix import SampledFn, cli, discrete, fixpoint, serialize
 from fenchelfix.cli import main
 
 
@@ -290,6 +290,53 @@ class TestVerifyCommand:
         assert "error: slopes e x + c overflow the float range" in err
         assert "Warning" not in err and "internal error" not in err
 
+    def test_ill_conditioned_exact_solution_exit_zero(self, tmp_path):
+        # both checks invert A = sqrt(2) E (condition 1e12) behind the
+        # positive definite gate, not the relative singularity rule
+        params = {
+            "E": np.diag([1e-6, 1.0, 1e6]).tolist(),
+            "c": [0.5, -1.0, 2.0],
+            "w": [1.0, 0.3, -0.2],
+            "tau": 2.0,
+            "beta": 0.7,
+        }
+        solution = fixpoint.solve_positive_definite(serialize.params_from_json(params))
+        payload = {"params": params, "candidate": {"quadratic": serialize.quadratic_to_json(solution)}}
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        out = tmp_path / "report.json"
+        assert run(tmp_path, "verify", "--config", cfg, "--out", str(out)) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["residual"]["maxRel"] <= 1e-14
+        assert result["formResidual"]["maxAbs"] <= 1e-9
+
+    def test_sampled_candidate_window_and_exclusion_are_applied(self, tmp_path):
+        xs = np.round(np.arange(-11.0, 11.0 + 1e-9, 0.01), 10)
+        vals = discrete.SignFlipSolution("split_quadratic", lam=2.0).values(xs)
+        payload = {
+            "params": {"E": [[-1.0]], "c": [0.0], "w": [0.0], "tau": 1.0, "beta": 0.0},
+            "candidate": {"sampled": {"points": xs.tolist(), "values": vals.tolist()}},
+        }
+        p = serialize.params_from_json(payload["params"])
+        f = SampledFn(xs, vals)
+        reports = {}
+        for name, options in {
+            "none": {},
+            "null": {"window": None},
+            "window": {"window": [-5.0, 5.0], "boundary_exclusion": 0.5},
+        }.items():
+            cfg = write_config(tmp_path, f"{name}.json", {**payload, "options": options})
+            out = tmp_path / f"{name}.report.json"
+            assert run(tmp_path, "verify", "--config", cfg, "--out", str(out)) == 0
+            reports[name] = json.loads(out.read_text())["result"]["residual"]
+        windowed = discrete.grid_fixed_point_residual(
+            p, f, window=(-5.0, 5.0), boundary_exclusion=0.5
+        )
+        assert reports["window"] == serialize.report_to_json(windowed)
+        assert reports["null"] == reports["none"] == serialize.report_to_json(
+            discrete.grid_fixed_point_residual(p, f)
+        )
+        assert reports["window"]["samplePoints"] < reports["none"]["samplePoints"]
+
     def test_missing_candidate_exit_two(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", identity_config())
         assert run(tmp_path, "verify", "--config", cfg) == 2
@@ -407,6 +454,16 @@ class TestConjugateCommand:
         )
         out = tmp_path / "out.json"
         assert run(tmp_path, "conjugate", "--config", cfg, "--out", str(out)) == 0
+
+    @pytest.mark.parametrize("spelling", ["+inf", "infinity", "Infinity", "INF", " inf", "inf "])
+    def test_only_the_documented_inf_sentinel(self, tmp_path, capsys, spelling):
+        cfg = write_config(
+            tmp_path,
+            "conj.json",
+            {"input": {"points": [-1.0, 0.0, 1.0], "values": [spelling, 0.0, 1.0]}, "slopes": [0.0]},
+        )
+        assert run(tmp_path, "conjugate", "--config", cfg) == 2
+        assert "error: bad sampled function" in capsys.readouterr().err
 
     def test_missing_input_exit_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "conj.json", {"slopes": [0.0]})

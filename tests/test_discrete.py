@@ -494,6 +494,21 @@ class TestSampledFnOwnsItsArrays:
         slopes[0] = -7.0
         assert f.points[0] == -1.0 and conj.points[0] == -1.0
 
+    def test_read_only_view_of_a_writeable_array_is_copied(self):
+        # a shared view would let a write through its base change f after
+        # its hull was built, and fast_conjugate would part from brute_conjugate
+        base = np.linspace(-2.0, 2.0, 9)
+        view = base.view()
+        view.flags.writeable = False
+        vals = (0.5 * base**2).view()
+        vals.flags.writeable = False
+        f = SampledFn(view, vals)
+        base[4] = 5.0
+        assert f.points[4] == 0.0 and f.values[4] == 0.0
+        fast, brute = fast_conjugate(f, [1.0]), brute_conjugate(f, [1.0])
+        assert fast.values.tobytes() == brute.values.tobytes()
+        assert fast.values[0] == 0.5
+
     def test_library_outputs_are_shared_not_copied(self):
         f = SampledFn(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 5.0, 0.0]))
         assert not f.points.flags.writeable and not f.hull.flags.writeable

@@ -9,6 +9,7 @@ from fenchelfix import (
     BadDeterminant,
     DimMismatch,
     NotInvolution,
+    NotPositiveDefinite,
     NotPSD,
     NotSymmetric,
     QuadraticFn,
@@ -157,6 +158,21 @@ class TestVerifyFormQuadratic:
         # that holds only for symmetric E would read 2
         form = verify_form_quadratic(quarter_turn_params(), skew_solution(b_matrix))
         assert form.max_abs <= 1e-12 and form.sample_points == 3
+
+    @pytest.mark.parametrize("check", [verify_form_quadratic, functional_differential_residual])
+    def test_a_not_positive_definite_is_refused(self, check):
+        # the conjugate's gate, QuadraticFn.a_inverse
+        p = TransformParams(np.diag([1.0, -1.0]), np.zeros(2), np.zeros(2), 1.0)
+        q = QuadraticFn(np.diag([1.0, -1.0]), np.zeros(2))
+        args = (p, q) if check is verify_form_quadratic else (p, q, sample_points(2, 5))
+        with pytest.raises(NotPositiveDefinite):
+            check(*args)
+
+    def test_ill_conditioned_exact_solution_is_clean(self):
+        # A = sqrt(2) E has condition 1e12, which the relative singularity
+        # rule of Spectral.inverse calls singular
+        p = TransformParams(np.diag([1e-6, 1.0, 1e6]), [0.5, -1.0, 2.0], [1.0, 0.3, -0.2], 2.0, 0.7)
+        assert verify_form_quadratic(p, solve_positive_definite(p)).max_abs <= 1e-9
 
     def test_scaled_rotation_solution_is_clean(self):
         # E = r R(theta) has the fixed point A = sqrt(tau) r I

@@ -468,3 +468,37 @@ class TestDefiniteness:
         assert not spec.positive_definite()
         neg = eigendecompose(np.diag([-1.0, -edge * DEFAULT_TOL.pd]))
         assert not neg.psd() and not neg.positive_definite()
+
+
+class TestReadonly:
+    def test_library_array_is_frozen_in_place(self):
+        a = np.arange(3.0)
+        assert linalg.readonly(a) is a and not a.flags.writeable
+
+    def test_writeable_caller_array_is_copied(self):
+        a = np.arange(3.0)
+        r = linalg.readonly(a, a)
+        assert r is not a and a.flags.writeable and not r.flags.writeable
+        a[0] = 7.0
+        assert r[0] == 0.0
+
+    def test_read_only_caller_array_that_owns_its_data_is_shared(self):
+        a = np.arange(3.0)
+        a.flags.writeable = False
+        assert linalg.readonly(a, a) is a
+
+    @pytest.mark.parametrize("caller", [True, False], ids=["caller", "library"])
+    def test_read_only_view_is_copied(self, caller):
+        base = np.arange(4.0)
+        view = base[1:]
+        view.flags.writeable = False
+        r = linalg.readonly(view, view if caller else None)
+        base[1] = 9.0
+        assert r is not view and r[0] == 1.0 and not r.flags.writeable
+
+    def test_decomposition_is_read_only(self, rng):
+        spec = eigendecompose(random_pd_matrix(rng, 4))
+        for a in spec:
+            assert not a.flags.writeable and a.flags.owndata
+            with pytest.raises(ValueError):
+                a[0] = 0.0

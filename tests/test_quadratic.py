@@ -16,6 +16,7 @@ from fenchelfix import (
     TransformParams,
     apply_transform,
     brute_conjugate,
+    classify,
     conjugate_quadratic,
     direct_sum,
     dual_params,
@@ -432,3 +433,69 @@ class TestOrderAndInequalities:
             ss = sample_points(n, 50, seed=17)
             for x, s in zip(xs, ss):
                 assert q(x) + qs(s) >= float(s @ x) - 1e-9
+
+
+class TestOwnership:
+    def test_a_quadratic_built_from_another_ones_arrays_shares_them(self):
+        q = conjugate_quadratic(q1d(2.0, 1.0))
+        r = QuadraticFn(q.A, q.b, 1.0)
+        assert r.A is q.A and r.b is q.b
+
+    def test_writeable_inputs_are_copied_and_detached(self):
+        a, b, e = np.eye(2), np.ones(2), np.eye(2)
+        q = QuadraticFn(a, b)
+        p = TransformParams(e, b, b, 1.0)
+        assert q.A is not a and q.b is not b and p.E is not e and p.c is not b
+        a[0, 0] = b[0] = e[0, 0] = 5.0
+        assert q.A[0, 0] == q.b[0] == p.E[0, 0] == p.c[0] == p.w[0] == 1.0
+
+    def test_a_read_only_input_that_owns_its_data_is_shared(self):
+        e = np.diag([2.0, 3.0])
+        e.flags.writeable = False
+        assert TransformParams(e, [0.0, 0.0], [0.0, 0.0], 1.0).E is e
+        assert QuadraticFn(e, [0.0, 0.0]).A is e
+
+    def test_cached_spectra_are_read_only(self):
+        # a write would reach the cached spectrum, and classify would then
+        # call E = I singular
+        p = TransformParams(np.eye(2), [0.0, 0.0], [0.0, 0.0], 1.0)
+        q = energy(2)
+        for spec in (p.symmetric_spectrum(), q.spectrum):
+            for a in spec:
+                with pytest.raises(ValueError):
+                    a[:] = 0.0
+        assert p.symmetric_spectrum().eigenvalues.tolist() == [1.0, 1.0]
+        assert classify(p).solution.A.tolist() == np.eye(2).tolist()
+
+
+class TestInverseGate:
+    def test_a_inverse_is_the_spectral_inverse(self, rng):
+        q = QuadraticFn(random_pd_matrix(rng, 4), np.zeros(4))
+        want = q.spectrum.apply(lambda d: 1.0 / d)
+        assert q.a_inverse().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "a", [np.diag([1.0, 0.0]), np.diag([1.0, -1.0])], ids=["psd", "indefinite"]
+    )
+    def test_a_not_positive_definite_is_refused(self, a):
+        with pytest.raises(NotPositiveDefinite):
+            QuadraticFn(a, np.zeros(2)).a_inverse()
+
+    def test_ill_conditioned_positive_definite_a_is_inverted(self):
+        # condition 1e12: Spectral.inverse's relative rule calls it singular
+        q = QuadraticFn(np.diag([1e-6, 1.0, 1e6]), np.zeros(3))
+        np.testing.assert_allclose(q.a_inverse(), np.diag([1e6, 1.0, 1e-6]), rtol=1e-12)
+
+
+class TestOverflowIsOutOfRange:
+    # the suite turns warnings into errors, so these also show no warning
+    def test_conjugate(self):
+        with pytest.raises(OutOfRange, match="the conjugate of a quadratic"):
+            conjugate_quadratic(QuadraticFn([[1e-5]], [1e305]))
+
+    def test_transform_in_the_candidate_scan(self):
+        p = TransformParams([[0.0, 1e308], [-1e308, 0.0]], [0.0, 0.0], [0.0, 0.0], 1.0)
+        with pytest.raises(OutOfRange, match="the transform of a quadratic"):
+            classify(p, candidate=energy(2))
+        with pytest.raises(OutOfRange, match="the transform of a quadratic"):
+            apply_transform(p, energy(2))

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from fenchelfix import ParseError, QuadraticFn, SampledFn
+from fenchelfix import ParseError, QuadraticFn, SampledFn, fenchel_young_check
 from fenchelfix.serialize import (
     params_from_json,
     quadratic_from_json,
     quadratic_to_json,
+    report_to_json,
     sampled_from_json,
     sampled_to_json,
 )
@@ -62,3 +63,11 @@ def test_non_finite_scalars_raise_parse_error(parse, obj, message):
     # infinite beta or gamma gave NaN residuals with exit 0
     with pytest.raises(ParseError, match=message):
         parse(obj)
+
+
+def test_fenchel_young_report_carries_min_gap():
+    f = SampledFn([-1.0, 0.0, 1.0], [0.5, 0.0, 0.5])
+    rep = fenchel_young_check(f, [(0.0, 0.5), (1.0, -1.0)])
+    out = report_to_json(rep)
+    assert out["minGap"] == rep.min_gap == 0.0
+    assert "maxRel" not in out and "gridH" not in out
