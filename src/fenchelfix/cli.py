@@ -96,11 +96,11 @@ def cmd_classify(args, config: dict, opts: dict, tol: Tolerances) -> tuple[dict,
 
 def cmd_solve(args, config: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
     params = serialize.params_from_json(config.get("params", {}))
+    pts = _scan_points(params, opts)
     outcome = fixpoint.classify(params, tol=tol)
     if outcome.solution is None:
         result = {"solution": None, "tag": outcome.tag.value, "note": outcome.note}
     else:
-        pts = _scan_points(params, opts)
         residual = fixpoint.transform_residual(params, outcome.solution, pts, tol)
         result = {
             "solution": serialize.quadratic_to_json(outcome.solution),

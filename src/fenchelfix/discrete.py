@@ -18,11 +18,10 @@ goes to its slope's position.  ``biconjugate``
 interpolates over the same table; it returns ``f`` itself when every node
 between the first and the last finite one is a hull vertex.
 
-A ``SampledFn`` keeps read-only arrays under ``linalg.readonly``'s rule:
-the library's own arrays are frozen in place, and a caller's array is
-copied unless it is read-only and owns its data.  ``sample`` evaluates a
-``SignFlipSolution`` in one array pass and calls any other callable once
-per node, with a Python ``float``.
+A ``SampledFn`` keeps read-only arrays under ``linalg.readonly``'s rule: a
+caller's array is always copied, the library's own are frozen in place and
+shared.  ``sample`` evaluates a ``SignFlipSolution`` in one array pass and
+calls any other callable once per node, with a Python ``float``.
 
 Accuracy caveats: the discrete conjugate understates the true conjugate at
 slopes outside the range achievable on the grid, so verification grids are
@@ -124,11 +123,8 @@ class SampledFn:
         return readonly(hx), readonly(hv), readonly(edges)
 
     @cached_property
-    def _spacing(self) -> float:
-        return float(np.diff(self.points).max()) if self.points.size > 1 else 0.0
-
     def spacing(self) -> float:
-        return self._spacing
+        return float(np.diff(self.points).max()) if self.points.size > 1 else 0.0
 
 
 def sample(fn: Callable[[float], float], points) -> SampledFn:
@@ -617,7 +613,7 @@ def grid_fixed_point_residual(
     np.multiply(w, xs, out=star)
     residuals -= star
     residuals -= p.beta
-    return report_from_residuals(residuals, xs, grid_h=f.spacing())
+    return report_from_residuals(residuals, xs, grid_h=f.spacing)
 
 
 def fenchel_young_check(f: SampledFn, pairs: Sequence[Tuple[float, float]]) -> ResidualReport:
@@ -632,7 +628,7 @@ def fenchel_young_check(f: SampledFn, pairs: Sequence[Tuple[float, float]]) -> R
         raise DimMismatch("pairs must be a nonempty sequence of (x, slope)")
     xs = arr[:, 0]
     ss = arr[:, 1]
-    snap = 1e-9 * max(1.0, f.spacing())
+    snap = 1e-9 * max(1.0, f.spacing)
     # the nearest node to each x (the right one on a tie) and its distance;
     # the pair-sized arrays are reused and freed before the conjugate
     node = np.searchsorted(f.points, xs)

@@ -22,6 +22,7 @@ from . import linalg
 from .errors import (
     BadDeterminant,
     DimMismatch,
+    EmptyList,
     NotInvolution,
     NotPositiveDefinite,
     NotPSD,
@@ -226,20 +227,27 @@ def classify(
     )
 
 
-def _rows(p: TransformParams, points: Iterable) -> np.ndarray:
-    """The sample points as a ``(K, dim)`` array, one point per row."""
+def _gate(dim: int, points: Iterable, *fns) -> np.ndarray:
+    """The residual checks' one input gate: each quadratic in ``fns`` has dimension
+    ``dim``, and the points are a nonempty, finite ``(K, dim)`` array, one per row."""
+    if any(isinstance(f, QuadraticFn) and f.dim != dim for f in fns):
+        raise DimMismatch("transform and quadratic dimensions differ")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != p.dim:
+    if pts.size == 0:
+        raise EmptyList("a residual check needs at least one point")
+    if pts.ndim != 2 or pts.shape[1] != dim:
         raise DimMismatch("points dimension does not match the transform")
+    if not np.isfinite(pts).all():
+        raise ValueError("point entries must be finite")
     return pts
 
 
 def _values(f: Callable[[np.ndarray], float], pts: np.ndarray) -> np.ndarray:
-    """Values of f at the rows of pts: one array pass for a quadratic, one
-    call per row for any other callable, which must return a float or a
-    size-1 array."""
+    """Values of f at the rows of pts (or at its entries, when 1-D): one array
+    pass for a quadratic, one call per row for any other callable, which
+    must return a float or a size-1 array."""
     if isinstance(f, QuadraticFn):
-        return f.values(pts)
+        return f.values(pts.reshape(len(pts), -1))
     out = [np.asarray(f(x), dtype=float) for x in pts]
     if any(v.size != 1 for v in out):
         raise DimMismatch("a checked function must return one value per point")
@@ -258,8 +266,8 @@ def transform_residual(
     ``|q - Tq| / (1 + |q| + |Tq|)``, which means the same at every scale of
     tau, E and the function values.
     """
+    pts = _gate(p.dim, points, q)
     tq = apply_transform(p, q, tol)
-    pts = _rows(p, points)
     fq, ftq = q.values(pts), tq.values(pts)
     return report_from_residuals(fq - ftq, pts, scale=1.0 + np.abs(fq) + np.abs(ftq))
 
@@ -294,9 +302,9 @@ def functional_eq_residual(
     """
     if variant not in ("Tsquared", "General", "SelfAdjoint"):
         raise ValueError(f"unknown variant {variant!r}")
+    pts = _gate(p.dim, points, f)
     if variant == "SelfAdjoint" and p.symmetric_spectrum(tol) is None:
         raise NotSymmetric("SelfAdjoint variant requires symmetric E")
-    pts = _rows(p, points)
     e_inv = p.e_inverse(tol)
     tau, c, w, beta = p.tau, p.c, p.w, p.beta
     e_inv_c = e_inv @ c
@@ -324,9 +332,9 @@ def shift_equation_residual(
     this identity, so a nonzero residual on reasonable samples is the
     expected outcome; w = 0 gives the trivial identity.
     """
-    pts = np.asarray(points, dtype=float).ravel()
-    residuals = _values(f, pts) - _values(f, pts + w) - w * pts
-    return report_from_residuals(residuals, pts)
+    x = _gate(1, np.reshape(points, (-1, 1)), f)[:, 0]
+    residuals = _values(f, x) - _values(f, x + w) - w * x
+    return report_from_residuals(residuals, x)
 
 
 def lower_envelope(p: TransformParams) -> QuadraticFn:
@@ -369,10 +377,10 @@ def g_scaling_residual(
     For symmetric PSD invertible E, any two solutions differ by a
     continuous g with g(tau x + E^{-1} w - E^{-1} c) = tau^2 g(x).
     """
+    pts = _gate(p.dim, points, f, p2)
     _psd_spectrum(p, tol, "the scaling law")
     e_inv = p.e_inverse(tol)
     shift = e_inv @ p.w - e_inv @ p.c
-    pts = _rows(p, points)
     y = p.tau * pts + shift
     g_y = _values(f, y) - _values(p2, y)
     residuals = g_y - p.tau**2 * (_values(f, pts) - _values(p2, pts))
@@ -420,8 +428,8 @@ def functional_differential_residual(
     quadratic with positive definite A the gradient inverse is explicit:
     u = A^{-1}(y - b).
     """
+    pts = _gate(p.dim, points, q)
     a_inv = q.a_inverse(tol)
-    pts = _rows(p, points)
     y = pts @ p.E.T + p.c
     u = (y - q.b) @ a_inv.T
     conj = np.einsum("ij,ij->i", y, u) - q.values(u)

@@ -9,13 +9,14 @@ forms |E|, sign(E), inverses and pseudo-inverse solves of symmetric
 matrices.  Every symmetric part is formed by ``symmetric_part``, which
 cannot overflow on finite input.  Every array a value type keeps (a
 quadratic's, a transform's, a sampled function's, a decomposition's) is
-made read-only by ``readonly``, the one ownership rule.  A general matrix
-is inverted from one SVD (``invert``), or tested for singularity from its
-singular values alone (``is_singular``).  There is one singularity rule:
-the smallest |eigenvalue| or singular value is at most
-``sing_rel * max(1, largest)``.  Matrices are plain ``numpy`` arrays;
-validation helpers enforce the symmetry/finiteness contracts at the entry
-points.  A LAPACK failure surfaces as ``NumericalFailure``.
+made read-only by ``readonly``, the one ownership rule, which always
+copies a caller's array.  A general matrix is inverted from one SVD
+(``invert``), or tested for singularity from its singular values alone
+(``is_singular``).  There is one singularity rule: the smallest
+|eigenvalue| or singular value is at most ``sing_rel * max(1, largest)``.
+Matrices are plain ``numpy`` arrays; validation helpers enforce the
+symmetry/finiteness contracts at the entry points.  A LAPACK failure
+surfaces as ``NumericalFailure``.
 """
 
 from __future__ import annotations
@@ -56,10 +57,10 @@ def as_matrix(m) -> np.ndarray:
 
 
 def readonly(a: np.ndarray, given=None) -> np.ndarray:
-    """``a`` read-only, the one ownership rule: an array the library made is
-    frozen in place; the caller's array ``given`` (when ``a`` is it) is copied
-    first unless it is read-only and owns its data, and so is any view."""
-    if not a.flags.owndata or (a is given and a.flags.writeable):
+    """``a`` read-only, the one ownership rule: the caller's array ``given``
+    (when ``a`` is it) and any view are copied first; only an array the
+    library made is frozen in place."""
+    if a is given or not a.flags.owndata:
         a = a.copy(order="K")
     a.flags.writeable = False
     return a

@@ -150,7 +150,7 @@ def _finite_quadratic(a: np.ndarray, b: np.ndarray, gamma: float, what: str) -> 
     """The quadratic (a, b, gamma), or ``OutOfRange`` when finite inputs overflowed."""
     if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(gamma)):
         raise OutOfRange(f"the input overflows the float range in {what} of a quadratic")
-    return QuadraticFn(linalg.readonly(a), linalg.readonly(b), gamma)
+    return QuadraticFn(a, b, gamma)
 
 
 def conjugate_quadratic(q: QuadraticFn, tol: Tolerances = DEFAULT_TOL) -> QuadraticFn:

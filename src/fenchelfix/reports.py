@@ -29,7 +29,7 @@ class ResidualReport:
 
 
 def report_from_residuals(residuals, points=None, grid_h=None, scale=None) -> ResidualReport:
-    """Reduce raw residuals to a report.
+    """Reduce raw residuals, at least one, to a report.
 
     The mean uses numpy's pairwise summation, so reports do not depend on
     evaluation order beyond floating-point associativity.  With ``scale``
@@ -37,18 +37,13 @@ def report_from_residuals(residuals, points=None, grid_h=None, scale=None) -> Re
     ``max_rel = max |residual| / scale``.
     """
     r = np.abs(np.asarray(residuals, dtype=float))
-    max_rel = None if scale is None else float((r / scale).max(initial=0.0))
-    if r.size == 0:
-        return ResidualReport(0.0, 0.0, 0, None, grid_h=grid_h, max_rel=max_rel)
     k = int(r.argmax())
-    worst = None
-    if points is not None:
-        worst = np.atleast_1d(np.asarray(points, dtype=float)[k]).copy()
+    worst = None if points is None else np.atleast_1d(np.asarray(points, dtype=float)[k]).copy()
     return ResidualReport(
         max_abs=float(r[k]),
         mean_abs=float(r.mean()),
         sample_points=int(r.size),
         worst_point=worst,
         grid_h=grid_h,
-        max_rel=max_rel,
+        max_rel=None if scale is None else float((r / scale).max()),
     )

@@ -10,6 +10,7 @@ import pytest
 import fenchelfix
 from fenchelfix import SampledFn, cli, discrete, fixpoint, serialize
 from fenchelfix.cli import main
+from fenchelfix.tolerances import DEFAULT_TOL
 
 
 def run(tmp_path, *argv):
@@ -337,6 +338,23 @@ class TestVerifyCommand:
         )
         assert reports["window"]["samplePoints"] < reports["none"]["samplePoints"]
 
+    def test_sampled_candidate_window_without_finite_node_exit_two(self, tmp_path, capsys):
+        payload = {
+            "params": {"E": [[-1.0]], "c": [0.0], "w": [0.0], "tau": 1.0},
+            "candidate": {"sampled": {"points": [-1.0, 0.0, 1.0], "values": ["inf", 0.0, 0.0]}},
+            "options": {"window": [-1.0, -0.5]},
+        }
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        assert run(tmp_path, "verify", "--config", cfg, "--out", str(tmp_path / "r.json")) == 2
+        assert "error: no finite nodes to check in the requested window" in capsys.readouterr().err
+
+    def test_candidate_of_another_dimension_exit_two(self, tmp_path, capsys):
+        payload = identity_config()
+        payload["candidate"] = {"quadratic": {"A": np.eye(3).tolist(), "b": [0.0] * 3}}
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        assert run(tmp_path, "verify", "--config", cfg, "--out", str(tmp_path / "r.json")) == 2
+        assert "error: transform and quadratic dimensions differ" in capsys.readouterr().err
+
     def test_missing_candidate_exit_two(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", identity_config())
         assert run(tmp_path, "verify", "--config", cfg) == 2
@@ -581,6 +599,11 @@ class TestToleranceScaling:
         assert run(tmp_path, "classify", "--config", cfg, "--out", out, "--tol-scale", scale) == 2
         assert "tolerance scale must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_scaled_refuses_what_the_option_refuses(self, scale):
+        with pytest.raises(ValueError, match="tolerance scale must be positive and finite"):
+            DEFAULT_TOL.scaled(scale)
+
     def test_zero_points_flag_exit_two(self, tmp_path, capsys):
         # a scan over no points reported maxAbs 0.0 with exit 0
         cfg = write_config(tmp_path, "cfg.json", identity_config(tau=2.0))
@@ -791,6 +814,10 @@ OVER_THE_CAP = {
         ["classify"], {**identity_config(n=1), "options": {"points": 1e18}}, "'points'"
     ),
     "points_times_dim": (["solve", "--points", "5000001"], identity_config(n=2), "dimension 2"),
+    "points_on_solve_without_solution": (
+        ["solve", "--points", "9000000"], identity_config(n=2, e=(-np.eye(2)).tolist(), w=[1, 0]),
+        "dimension 2",
+    ),
     "slope_count": (
         ["conjugate"],
         {"input": ONE_LINE, "slopes": {"start": -1.0, "stop": 1.0, "count": 1e18}},
@@ -810,6 +837,35 @@ def test_counts_over_the_cap_exit_two(tmp_path, capsys, argv, payload, key):
     assert key in err and "over the cap of 10000000" in err
     assert "Traceback" not in err and "internal error" not in err
     assert not out.exists()
+
+
+def test_solve_and_classify_refuse_the_same_points(tmp_path, capsys):
+    # solve checked the points only when classify found a solution, so
+    # on the nonexistence pattern it exited 0 where classify exited 2
+    cfg = write_config(tmp_path, "cfg.json", identity_config(e=(-np.eye(2)).tolist(), w=[1, 0]))
+    errors = []
+    for command in ("classify", "solve"):
+        assert run(tmp_path, command, "--config", cfg, "--points", "9000000") == 2
+        errors.append(capsys.readouterr().err.splitlines()[0])
+    assert errors[0] == errors[1]
+    assert "option 'points' times dimension 2 is over the cap" in errors[0]
+
+
+UNREADABLE_CONFIGS = {
+    "missing_file": (lambda d: str(d / "absent.json"), "cannot read config"),
+    "directory": (lambda d: str(d), "cannot read config"),
+    "list_root": (
+        lambda d: write_config(d, "list.json", [identity_config()]), "config root must be an object"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(UNREADABLE_CONFIGS))
+def test_unreadable_config_exit_two(tmp_path, capsys, name):
+    make, message = UNREADABLE_CONFIGS[name]
+    assert run(tmp_path, "classify", "--config", make(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "internal error" not in err
 
 
 HALF_SQUARE = {"points": [-5, -2.5, 0, 2.5, 5], "values": [12.5, 3.125, 0, 3.125, 12.5]}

@@ -513,7 +513,10 @@ class TestSampledFnOwnsItsArrays:
         f = SampledFn(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 5.0, 0.0]))
         assert not f.points.flags.writeable and not f.hull.flags.writeable
         assert biconjugate(f).points is f.points
-        assert SampledFn(f.points, f.values).points is f.points
+        # handed back by a caller, they are copied like any caller array
+        g = SampledFn(f.points, f.values)
+        assert g.points is not f.points and g.values is not f.values
+        assert g.points.tobytes() == f.points.tobytes()
 
 
 class TestGridCheckedOnce:
@@ -646,6 +649,71 @@ class TestConjugate2D:
                 flipped = star[window.size - 1 - i, window.size - 1 - j]
                 worst = max(worst, abs(direct - flipped))
         assert worst <= 2 * h
+
+
+def _grid_error_paths():
+    f = SampledFn(np.linspace(-1.0, 1.0, 5), np.zeros(5))
+    ray = SignFlipSolution("ray_indicator").sample(np.linspace(-1.0, 1.0, 5))
+    return {
+        "values_length": (
+            lambda: SampledFn([0.0, 1.0], [0.0]), DimMismatch, "values and grid sizes differ"
+        ),
+        "nan_value": (
+            lambda: SampledFn([0.0, 1.0], [0.0, np.nan]),
+            ValueError,
+            "values must be finite or +inf",
+        ),
+        "neg_inf_value": (
+            lambda: SampledFn([0.0, 1.0], [0.0, -np.inf]),
+            ValueError,
+            "values must be finite or +inf",
+        ),
+        "unknown_kind": (lambda: SignFlipSolution("cubic"), ValueError, "unknown kind 'cubic'"),
+        "split_without_lam": (
+            lambda: SignFlipSolution("split_quadratic"), ValueError, "split_quadratic needs lam > 0"
+        ),
+        "split_zero_lam": (
+            lambda: SignFlipSolution("split_quadratic", lam=0.0),
+            ValueError,
+            "split_quadratic needs lam > 0",
+        ),
+        "lam_for_another_kind": (
+            lambda: SignFlipSolution("neg_log", lam=2.0),
+            ValueError,
+            "neg_log takes no lam parameter",
+        ),
+        "window_without_finite_node": (
+            lambda: grid_fixed_point_residual(FLIP, ray, window=(-1.0, -0.5)),
+            AllInfinite,
+            "no finite nodes to check in the requested window",
+        ),
+        "pairs_of_three": (
+            lambda: fenchel_young_check(f, [(0.0, 1.0, 2.0)]),
+            DimMismatch,
+            "pairs must be a nonempty sequence of (x, slope)",
+        ),
+        "no_pairs": (
+            lambda: fenchel_young_check(f, []),
+            DimMismatch,
+            "pairs must be a nonempty sequence of (x, slope)",
+        ),
+        "abscissa_off_the_domain": (
+            lambda: fenchel_young_check(ray, [(0.5, 0.0), (-0.5, 1.0)]),
+            ValueError,
+            "pair abscissae must be in the effective domain",
+        ),
+    }
+
+
+GRID_ERROR_PATHS = _grid_error_paths()
+
+
+@pytest.mark.parametrize("name", list(GRID_ERROR_PATHS))
+def test_grid_error_paths(name):
+    build, error, message = GRID_ERROR_PATHS[name]
+    with pytest.raises(error) as info:
+        build()
+    assert info.type is error and str(info.value) == message
 
 
 class TestFenchelYoung:

@@ -8,6 +8,7 @@ from fenchelfix import (
     SignFlipSolution,
     BadDeterminant,
     DimMismatch,
+    EmptyList,
     NotInvolution,
     NotPositiveDefinite,
     NotPSD,
@@ -136,6 +137,10 @@ class TestVerifyFormQuadratic:
 
     def test_energy_identity_is_exact(self):
         assert verify_form_quadratic(identity_params(), energy(2)).max_abs == 0.0
+
+    def test_quadratic_of_another_dimension(self):
+        with pytest.raises(DimMismatch, match="transform and quadratic dimensions differ"):
+            verify_form_quadratic(identity_params(), energy(3))
 
     @pytest.mark.parametrize("coefficient", ["A", "b", "gamma"])
     def test_perturbed_leading_coefficient_is_flagged(self, rng, coefficient):
@@ -632,6 +637,91 @@ class TestBatchedResiduals:
             transform_residual(p, energy(2), [[0.0, np.nan]])
 
 
+# the residual checks over 2-D points, each through the one input gate,
+# with the checked quadratic q in every function slot
+GATED_CHECKS = {
+    "transform": lambda p, q, pts: transform_residual(p, q, pts),
+    "functional_eq": lambda p, q, pts: functional_eq_residual(p, q, "General", pts),
+    "differential": lambda p, q, pts: functional_differential_residual(p, q, pts),
+    "g_scaling": lambda p, q, pts: g_scaling_residual(p, q, q, pts),
+    "g_scaling_second": lambda p, q, pts: g_scaling_residual(p, energy(2), q, pts),
+}
+
+
+class TestInputGate:
+    @pytest.mark.parametrize("name", list(GATED_CHECKS))
+    @pytest.mark.parametrize("points", [np.empty((0, 2)), []], ids=["empty_rows", "empty_list"])
+    def test_no_points_is_an_empty_list(self, name, points):
+        with pytest.raises(EmptyList):
+            GATED_CHECKS[name](identity_params(), energy(2), points)
+
+    @pytest.mark.parametrize("points", [[], np.empty(0), np.empty((0, 1))])
+    def test_no_shift_points_is_an_empty_list(self, points):
+        with pytest.raises(EmptyList):
+            shift_equation_residual(lambda x: x * x, 1.0, points)
+
+    def test_the_candidate_scan_over_no_points_is_an_empty_list(self):
+        with pytest.raises(EmptyList):
+            classify(quarter_turn_params(), candidate=energy(2), points=np.empty((0, 2)))
+
+    @pytest.mark.parametrize("name", list(GATED_CHECKS))
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_point_is_a_value_error(self, name, bad):
+        # the suite makes every warning an error: the gate raises before any arithmetic
+        with pytest.raises(ValueError, match="point entries must be finite"):
+            GATED_CHECKS[name](identity_params(), energy(2), [[bad, 0.0], [1.0, 1.0]])
+
+    def test_a_non_finite_point_fails_a_callable_check(self):
+        with pytest.raises(ValueError, match="point entries must be finite"):
+            functional_eq_residual(
+                identity_params(),
+                lambda x: 0.5 * float(x @ x),
+                "General",
+                [[np.inf, 0.0], [1.0, 1.0]],
+            )
+        with pytest.raises(ValueError, match="point entries must be finite"):
+            shift_equation_residual(lambda x: x * x, 1.0, [np.nan, 1.0])
+
+    @pytest.mark.parametrize("name", list(GATED_CHECKS))
+    @pytest.mark.parametrize(
+        "q, pts, message",
+        [
+            (energy(3), np.ones((3, 2)), "transform and quadratic dimensions differ"),
+            (energy(2), np.ones((3, 3)), "points dimension does not match the transform"),
+            (energy(2), np.ones((2, 2, 1)), "points dimension does not match the transform"),
+        ],
+        ids=["quadratic", "points", "three_axes"],
+    )
+    def test_a_dimension_mismatch_has_one_message(self, name, q, pts, message):
+        with pytest.raises(DimMismatch) as info:
+            GATED_CHECKS[name](identity_params(), q, pts)
+        assert str(info.value) == message
+
+    def test_a_quadratic_of_another_dimension_fails_the_shift_check(self):
+        with pytest.raises(DimMismatch, match="transform and quadratic dimensions differ"):
+            shift_equation_residual(energy(2), 1.0, [0.5, 1.0])
+
+    def test_a_one_dimensional_quadratic_passes_the_shift_check(self):
+        q = QuadraticFn([[2.0]], [0.5], 1.0)
+        pts = [0.25, -1.0, 2.0]
+        got = shift_equation_residual(q, 0.5, pts)
+        want = shift_equation_residual(lambda x: q(np.atleast_1d(x)), 0.5, pts)
+        assert got.max_abs == pytest.approx(want.max_abs, rel=1e-15)
+        assert got.mean_abs == pytest.approx(want.mean_abs, rel=1e-15)
+        assert got.worst_point.tolist() == want.worst_point.tolist()
+
+    def test_shift_points_of_any_shape_are_scalars(self):
+        f = lambda x: x * x  # noqa: E731
+        want = shift_equation_residual(f, 0.5, [0.25, -1.0, 2.0])
+        for points in ([[0.25], [-1.0], [2.0]], np.array([[0.25, -1.0, 2.0]])):
+            got = shift_equation_residual(f, 0.5, points)
+            assert (got.max_abs, got.mean_abs, got.sample_points) == (
+                want.max_abs, want.mean_abs, want.sample_points
+            )
+            assert got.worst_point.tolist() == want.worst_point.tolist() == [2.0]
+        assert shift_equation_residual(f, 0.5, 1.5).sample_points == 1
+
+
 class TestRelativeResidual:
     C = [0.5, -1.0, 2.0]
     W = [1.0, 0.3, -0.2]
@@ -814,6 +904,39 @@ class TestSkewSolutions:
     def test_not_psd(self):
         with pytest.raises(NotPSD):
             skew_solution(np.array([[2.0, 3.0], [3.0, 2.0]]))  # det -5, indefinite
+
+
+SCOPE_ERRORS = {
+    "pd_closed_form_on_indefinite_e": (
+        lambda: solve_positive_definite(TransformParams(np.diag([1.0, -1.0]), [0, 0], [0, 0], 2.0)),
+        NotPositiveDefinite,
+        "E must be positive definite",
+    ),
+    "x0_at_tau_one": (
+        lambda: x0_point(identity_params()), ValueError, "x0 is defined only for tau != 1"
+    ),
+    "upper_envelope_of_singular_psd_e": (
+        lambda: upper_envelope(TransformParams(np.diag([1.0, 0.0]), [0, 0], [0, 0], 1.0)),
+        Singular,
+        "upper envelope requires invertible E",
+    ),
+    "lql_of_indefinite_l": (
+        lambda: solve_lql(np.diag([1.0, -1.0])),
+        NotPositiveDefinite,
+        "solve_lql requires a positive definite matrix",
+    ),
+    "skew_solution_3x3": (
+        lambda: skew_solution(np.eye(3)), DimMismatch, "skew_solution is a 2x2 construction"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SCOPE_ERRORS))
+def test_constructions_refuse_input_out_of_their_scope(name):
+    build, error, message = SCOPE_ERRORS[name]
+    with pytest.raises(error) as info:
+        build()
+    assert info.type is error and str(info.value) == message
 
 
 class TestUniquenessWitness:

@@ -91,6 +91,12 @@ class TestAsSymmetric:
         assert not np.signbit(out).any()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_as_matrix_refuses_a_non_finite_entry(bad):
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        linalg.as_matrix([[1.0, 0.0], [bad, 1.0]])
+
+
 class TestSymmetricPart:
     def test_is_the_halved_sum_bitwise(self, rng):
         for n in range(1, 9):
@@ -482,10 +488,15 @@ class TestReadonly:
         a[0] = 7.0
         assert r[0] == 0.0
 
-    def test_read_only_caller_array_that_owns_its_data_is_shared(self):
+    def test_read_only_caller_array_that_owns_its_data_is_copied(self):
+        # the flag is advisory: a caller can turn it back on and write
         a = np.arange(3.0)
         a.flags.writeable = False
-        assert linalg.readonly(a, a) is a
+        r = linalg.readonly(a, a)
+        assert r is not a and not r.flags.writeable
+        a.flags.writeable = True
+        a[0] = 7.0
+        assert r[0] == 0.0
 
     @pytest.mark.parametrize("caller", [True, False], ids=["caller", "library"])
     def test_read_only_view_is_copied(self, caller):

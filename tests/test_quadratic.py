@@ -272,6 +272,11 @@ class TestApplyTransform:
         np.testing.assert_allclose(out.b, np.zeros(2), atol=1e-14)
         assert out.gamma == pytest.approx(0.0, abs=1e-14)
 
+    def test_dimension_mismatch(self):
+        p = TransformParams(np.eye(2), np.zeros(2), np.zeros(2), 1.0, 0.0)
+        with pytest.raises(DimMismatch, match="transform and quadratic dimensions differ"):
+            apply_transform(p, energy(3))
+
     def test_tau_4_scalar_fixed_point(self):
         p = TransformParams(np.eye(1), np.zeros(1), np.zeros(1), 4.0, 0.0)
         out = apply_transform(p, q1d(2.0, 0.0))
@@ -408,6 +413,10 @@ class TestDirectSum:
         with pytest.raises(EmptyList):
             direct_sum([])
 
+    def test_as_quadratic_needs_quadratic_parts(self):
+        with pytest.raises(TypeError, match="direct sum has non-quadratic parts"):
+            direct_sum([energy(1), abs]).as_quadratic()
+
 
 class TestOrderAndInequalities:
     def test_order_reversal(self, rng):
@@ -436,10 +445,12 @@ class TestOrderAndInequalities:
 
 
 class TestOwnership:
-    def test_a_quadratic_built_from_another_ones_arrays_shares_them(self):
+    def test_a_quadratic_built_from_another_ones_arrays_copies_them(self):
         q = conjugate_quadratic(q1d(2.0, 1.0))
         r = QuadraticFn(q.A, q.b, 1.0)
-        assert r.A is q.A and r.b is q.b
+        assert r.A is not q.A and r.b is not q.b
+        assert r.A.tobytes() == q.A.tobytes() and r.b.tobytes() == q.b.tobytes()
+        assert not r.A.flags.writeable and not r.b.flags.writeable
 
     def test_writeable_inputs_are_copied_and_detached(self):
         a, b, e = np.eye(2), np.ones(2), np.eye(2)
@@ -449,11 +460,19 @@ class TestOwnership:
         a[0, 0] = b[0] = e[0, 0] = 5.0
         assert q.A[0, 0] == q.b[0] == p.E[0, 0] == p.c[0] == p.w[0] == 1.0
 
-    def test_a_read_only_input_that_owns_its_data_is_shared(self):
+    def test_a_read_only_input_that_owns_its_data_is_copied(self):
+        # a shared array would change under the cached spectrum once the
+        # caller turns the advisory flag back on and writes
         e = np.diag([2.0, 3.0])
         e.flags.writeable = False
-        assert TransformParams(e, [0.0, 0.0], [0.0, 0.0], 1.0).E is e
-        assert QuadraticFn(e, [0.0, 0.0]).A is e
+        p = TransformParams(e, [0.0, 0.0], [0.0, 0.0], 1.0)
+        q = QuadraticFn(e, [0.0, 0.0])
+        assert p.E is not e and q.A is not e
+        assert p.symmetric_spectrum().eigenvalues.tolist() == [3.0, 2.0]
+        e.flags.writeable = True
+        e[0, 0] = -5.0
+        assert p.E.tolist() == q.A.tolist() == [[2.0, 0.0], [0.0, 3.0]]
+        assert classify(p).solution.A.tolist() == [[2.0, 0.0], [0.0, 3.0]]
 
     def test_cached_spectra_are_read_only(self):
         # a write would reach the cached spectrum, and classify would then
