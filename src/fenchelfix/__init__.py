@@ -31,14 +31,10 @@ from .linalg import (
     solve_min_norm,
 )
 from .quadratic import (
-    DirectSum,
-    DualParams,
     QuadraticFn,
     TransformParams,
     apply_transform,
     conjugate_quadratic,
-    direct_sum,
-    dual_params,
     energy,
 )
 from .reports import ResidualReport
@@ -52,7 +48,6 @@ from .fixpoint import (
     g_scaling_residual,
     lower_envelope,
     quarter_turn_params,
-    shift_equation_residual,
     skew_solution,
     solve_lql,
     solve_positive_definite,

@@ -143,7 +143,11 @@ def sample(fn: Callable[[float], float], points) -> SampledFn:
 
 
 def uniform_grid(lo: float, hi: float, h: float) -> np.ndarray:
-    """Uniform grid covering [lo, hi] with spacing h, endpoints included."""
+    """The nodes lo + k h for k = 0, ..., round((hi - lo) / h), for finite
+    lo < hi and finite h > 0: the last node is within h/2 of hi, and is hi
+    only when (hi - lo) / h is whole."""
+    if not (-INF < lo < hi < INF and 0.0 < h < INF):
+        raise ValueError("a uniform grid needs finite lo < hi and a finite spacing h > 0")
     n = int(round((hi - lo) / h))
     return lo + h * np.arange(n + 1)
 
@@ -478,7 +482,7 @@ class SignFlipSolution:
     kinds: ``half_square`` (x^2/2), ``neg_log`` (-1/2 - log x on x > 0,
     +inf elsewhere), ``ray_indicator`` (0 on x >= 0, +inf elsewhere) and
     ``split_quadratic`` (lam x^2/2 on x <= 0, x^2/(2 lam) on x >= 0,
-    lam > 0).  If f solves the equation then so does x -> f(-x).
+    0 < lam < inf).  If f solves the equation then so does x -> f(-x).
     """
 
     kind: str
@@ -493,6 +497,8 @@ class SignFlipSolution:
         if self.kind == "split_quadratic":
             if self.lam is None or not self.lam > 0.0:
                 raise ValueError("split_quadratic needs lam > 0")
+            if not self.lam < INF:
+                raise ValueError("split_quadratic needs a finite lam")
             object.__setattr__(self, "lam", float(self.lam))
         elif self.lam is not None:
             raise ValueError(f"{self.kind} takes no lam parameter")

@@ -243,15 +243,18 @@ def _gate(dim: int, points: Iterable, *fns) -> np.ndarray:
 
 
 def _values(f: Callable[[np.ndarray], float], pts: np.ndarray) -> np.ndarray:
-    """Values of f at the rows of pts (or at its entries, when 1-D): one array
-    pass for a quadratic, one call per row for any other callable, which
-    must return a float or a size-1 array."""
+    """Values of f at the rows of pts: one array pass for a quadratic, one
+    call per row for any other callable, which must return one finite value
+    (a float or a size-1 array) per point."""
     if isinstance(f, QuadraticFn):
-        return f.values(pts.reshape(len(pts), -1))
+        return f.values(pts)
     out = [np.asarray(f(x), dtype=float) for x in pts]
     if any(v.size != 1 for v in out):
         raise DimMismatch("a checked function must return one value per point")
-    return np.array([v.item() for v in out])
+    values = np.array([v.item() for v in out])
+    if not np.isfinite(values).all():
+        raise ValueError("a checked function must be finite at every point")
+    return values
 
 
 def transform_residual(
@@ -321,20 +324,6 @@ def functional_eq_residual(
             tau**2 * _values(f, pts) + y @ w - tau**2 * (pts @ c) + beta * (1.0 - tau)
         )
     return report_from_residuals(residuals, pts)
-
-
-def shift_equation_residual(
-    f: Callable[[float], float], w: float, points: Iterable
-) -> ResidualReport:
-    """Residual of f(x) - f(x + w) - w x on the real line.
-
-    For w != 0 no proper convex lower semicontinuous function satisfies
-    this identity, so a nonzero residual on reasonable samples is the
-    expected outcome; w = 0 gives the trivial identity.
-    """
-    x = _gate(1, np.reshape(points, (-1, 1)), f)[:, 0]
-    residuals = _values(f, x) - _values(f, x + w) - w * x
-    return report_from_residuals(residuals, x)
 
 
 def lower_envelope(p: TransformParams) -> QuadraticFn:

@@ -5,20 +5,19 @@ leading coefficient has the closed-form conjugate
 ``f*(s) = 1/2 <A^{-1}(s - b), s - b> - gamma``, and the deformed-conjugation
 transform ``T[E, c, w, tau, beta](f)(x) = tau f*(Ex + c) + <w, x> + beta``
 maps quadratics to quadratics.  This module implements that calculus exactly
-(in working precision) together with the dual parameters of the conjugate
-transform and direct sums of blocks.
+(in working precision).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
 from . import linalg
-from .errors import DimMismatch, EmptyList, NotPositiveDefinite, OutOfRange
+from .errors import DimMismatch, NotPositiveDefinite, OutOfRange
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -136,16 +135,6 @@ class TransformParams:
         return linalg.invert(self.E, tol) if spec is None else spec.inverse(tol)
 
 
-@dataclass(frozen=True)
-class DualParams:
-    """Parameters (H, v, z, rho) of the conjugate of a transformed function."""
-
-    H: np.ndarray
-    v: np.ndarray
-    z: np.ndarray
-    rho: float
-
-
 def _finite_quadratic(a: np.ndarray, b: np.ndarray, gamma: float, what: str) -> QuadraticFn:
     """The quadratic (a, b, gamma), or ``OutOfRange`` when finite inputs overflowed."""
     if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(gamma)):
@@ -186,68 +175,3 @@ def apply_transform(
         b_t = tau * (e.T @ (qs.A @ c + qs.b)) + w
         gamma_t = tau * (0.5 * float(c @ qs.A @ c) + float(qs.b @ c) + qs.gamma) + p.beta
     return _finite_quadratic(a_t, b_t, gamma_t, "the transform")
-
-
-def dual_params(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> DualParams:
-    """Parameters of the conjugate of g(x) = tau h(Ex + c) + <w, x> + beta.
-
-    For any h one has g*(s) = tau h*(Hs + v) + <z, s> + rho with
-    H = tau^{-1} (E^{-1})^T, v = -tau^{-1} (E^{-1})^T w, z = -E^{-1} c and
-    rho = <w, E^{-1} c> - beta.  (No tau factor on z and rho: substituting
-    h = h* of a known pair and expanding the supremum directly fixes these
-    coefficients, and the biconjugation tests exercise them at tau != 1.)
-    """
-    e_inv = p.e_inverse(tol)
-    h = e_inv.T / p.tau
-    v = -h @ p.w
-    z = -e_inv @ p.c
-    rho = float(p.w @ (e_inv @ p.c)) - p.beta
-    return DualParams(H=h, v=v, z=z, rho=rho)
-
-
-Evaluable1D = Callable[[float], float]
-Part = Union[QuadraticFn, Evaluable1D]
-
-
-class DirectSum:
-    """Separable sum of blocks: g(x) = sum_i g_i(x_block_i).
-
-    Blocks keep user order; offsets are explicit.  Parts are either
-    quadratics (their ``dim`` is used) or scalar functions of one real
-    variable (dimension 1).  The conjugate of a direct sum is the direct
-    sum of the block conjugates; the tests verify this against a
-    brute-force grid conjugation rather than assuming it.
-    """
-
-    def __init__(self, parts: Sequence[Part]):
-        if len(parts) == 0:
-            raise EmptyList("direct_sum needs at least one part")
-        self.parts = list(parts)
-        self.dims = [p.dim if isinstance(p, QuadraticFn) else 1 for p in self.parts]
-        self.offsets = np.concatenate([[0], np.cumsum(self.dims)])
-        self.dim = int(self.offsets[-1])
-
-    def __call__(self, x) -> float:
-        v = linalg.as_vector(x, self.dim)
-        total = 0.0
-        for part, d, off in zip(self.parts, self.dims, self.offsets[:-1]):
-            block = v[off : off + d]
-            total += part(block) if isinstance(part, QuadraticFn) else float(part(float(block[0])))
-        return total
-
-    def as_quadratic(self) -> QuadraticFn:
-        """Block-diagonal quadratic, available when every part is quadratic."""
-        if not all(isinstance(p, QuadraticFn) for p in self.parts):
-            raise TypeError("direct sum has non-quadratic parts")
-        a = np.zeros((self.dim, self.dim))
-        b = np.zeros(self.dim)
-        gamma = 0.0
-        for part, d, off in zip(self.parts, self.dims, self.offsets[:-1]):
-            a[off : off + d, off : off + d] = part.A
-            b[off : off + d] = part.b
-            gamma += part.gamma
-        return QuadraticFn(a, b, gamma)
-
-
-def direct_sum(parts: Sequence[Part]) -> DirectSum:
-    return DirectSum(parts)

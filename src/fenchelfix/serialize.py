@@ -7,7 +7,8 @@ contract: tag / solution / x0 / note for classifications and maxAbs /
 meanAbs / samplePoints / worstPoint for residual reports (plus gridH,
 minGap and maxRel when the check sets them).  A bool or a string is never
 read as a number, at any depth of an array (``_is_number``); the ``"inf"``
-sentinel is the one string a number field takes.
+sentinel is the one string a number field takes.  A config object takes
+no key it does not read (``_fields``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .reports import ResidualReport
 from .tolerances import Tolerances
 
 MAX_VALUES = 10**7  # the most floats the sample points or the slopes of a config may take
+_CONFIG = dict.fromkeys(("params", "candidate", "options", "input", "slopes"))  # the top-level keys
 
 
 def _json_float(text: str) -> float:
@@ -48,13 +50,14 @@ def load_config(path: str) -> dict:
         raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("config root must be an object")
+    _read("config", _fields, obj, "config", **_CONFIG)
     return obj
 
 
-def _read(what: str, build: Callable, *args):
-    """``build(*args)``, with a conversion error turned into an input error."""
+def _read(what: str, build: Callable, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a conversion error turned into an input error."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except (LookupError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"bad {what}: {exc}") from exc
 
@@ -67,10 +70,19 @@ def _vector_out(v: np.ndarray) -> list:
     return [float(x) for x in np.asarray(v)]
 
 
-def _require(obj: dict, key: str, ctx: str) -> Any:
-    if not isinstance(obj, dict) or key not in obj:
-        raise ParseError(f"missing {key!r} in {ctx}")
-    return obj[key]
+def _fields(obj, ctx: str, *required: str, **optional) -> list:
+    """The values of ``obj``'s ``required`` keys, then of its ``optional`` ones (or their
+    defaults).  A missing required key or any other key is a ``ValueError`` naming it
+    and ``ctx``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{ctx} must be an object")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise ValueError(f"unknown key {key!r} in {ctx}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"missing {key!r} in {ctx}")
+    return [obj[key] for key in required] + [obj.get(key, v) for key, v in optional.items()]
 
 
 def _is_number(v) -> bool:
@@ -112,13 +124,12 @@ def _numbers(raw, name: str) -> np.ndarray:
 
 
 def params_from_json(obj: dict) -> TransformParams:
-    return _read("transform parameters", lambda: TransformParams(
-        E=_numbers(_require(obj, "E", "params"), "E"),
-        c=_numbers(_require(obj, "c", "params"), "c"),
-        w=_numbers(_require(obj, "w", "params"), "w"),
-        tau=_number(_require(obj, "tau", "params"), "tau must be a number"),
-        beta=_number(obj.get("beta", 0.0), "beta must be a number"),
-    ))
+    def build():
+        e, c, w, tau, beta = _fields(obj, "params", "E", "c", "w", "tau", beta=0.0)
+        tau, beta = _number(tau, "tau must be a number"), _number(beta, "beta must be a number")
+        return TransformParams(_numbers(e, "E"), _numbers(c, "c"), _numbers(w, "w"), tau, beta)
+
+    return _read("transform parameters", build)
 
 
 def quadratic_to_json(q: QuadraticFn) -> dict:
@@ -126,11 +137,12 @@ def quadratic_to_json(q: QuadraticFn) -> dict:
 
 
 def quadratic_from_json(obj: dict) -> QuadraticFn:
-    return _read("quadratic", lambda: QuadraticFn(
-        A=_numbers(_require(obj, "A", "quadratic"), "A"),
-        b=_numbers(_require(obj, "b", "quadratic"), "b"),
-        gamma=_number(obj.get("gamma", 0.0), "gamma must be a number"),
-    ))
+    def build():
+        a, b, gamma = _fields(obj, "quadratic", "A", "b", gamma=0.0)
+        gamma = _number(gamma, "gamma must be a number")
+        return QuadraticFn(_numbers(a, "A"), _numbers(b, "b"), gamma)
+
+    return _read("quadratic", build)
 
 
 def _values_out(values: np.ndarray) -> list:
@@ -146,10 +158,11 @@ def sampled_to_json(f: SampledFn) -> dict:
 
 
 def sampled_from_json(obj: dict) -> SampledFn:
-    return _read("sampled function", lambda: SampledFn(
-        points=_numbers(_require(obj, "points", "sampled"), "points"),
-        values=_values_in(_require(obj, "values", "sampled"), "sampled values"),
-    ))
+    def build():
+        points, values = _fields(obj, "sampled", "points", "values")
+        return SampledFn(_numbers(points, "points"), _values_in(values, "sampled values"))
+
+    return _read("sampled function", build)
 
 
 def candidate_from_json(raw, command: str, *kinds: str):
@@ -164,7 +177,8 @@ def _slopes(raw) -> np.ndarray:
     """A list of numbers, or ``{"start", "stop", "count"}`` for evenly spaced
     slopes; either way finite and strictly increasing."""
     if isinstance(raw, dict):
-        start, stop, count = _finite(raw["start"]), _finite(raw["stop"]), _integer(raw["count"], 1)
+        start, stop, count = _fields(raw, "slopes", "start", "stop", "count")
+        start, stop, count = _finite(start), _finite(stop), _integer(count, 1)
         if count > MAX_VALUES:
             raise ValueError(f"count {count} is over the cap of {MAX_VALUES} slopes")
         return check_grid(np.linspace(start, stop, count))
@@ -173,8 +187,8 @@ def _slopes(raw) -> np.ndarray:
 
 def conjugate_from_json(config: dict) -> tuple[SampledFn, np.ndarray]:
     """A ``conjugate`` config's ``input`` function and its ``slopes``."""
-    fn = sampled_from_json(_require(config, "input", "config"))
-    return fn, _read("slopes", _slopes, _require(config, "slopes", "config"))
+    fn, slopes = _read("config", _fields, config, "config", "input", "slopes", **_CONFIG)[:2]
+    return sampled_from_json(fn), _read("slopes", _slopes, slopes)
 
 
 def _window(raw) -> Optional[tuple[float, float]]:

@@ -19,7 +19,6 @@ from fenchelfix import (
     Tag,
     TransformParams,
     classify,
-    direct_sum,
     eigendecompose,
     fast_conjugate,
     brute_conjugate,
@@ -177,10 +176,11 @@ def test_criterion_05_planar_rotation_solutions():
     # two planar blocks stacked into dimension four
     m1 = np.array([[1.3, 0.2], [0.2, 0.9]])
     m2 = np.array([[2.0, 1.0], [1.0, 1.0]])
-    blocks = [skew_solution(b / np.sqrt(np.linalg.det(b))) for b in (m1, m2)]
-    stacked = direct_sum(blocks).as_quadratic()
+    b1, b2 = [skew_solution(b / np.sqrt(np.linalg.det(b))).A for b in (m1, m2)]
+    zero = np.zeros((2, 2))
+    stacked = QuadraticFn(np.block([[b1, zero], [zero, b2]]), np.zeros(4), 0.0)
     rot = params.E
-    e4 = np.block([[rot, np.zeros((2, 2))], [np.zeros((2, 2)), rot]])
+    e4 = np.block([[rot, zero], [zero, rot]])
     p4 = TransformParams(e4, np.zeros(4), np.zeros(4), 1.0, 0.0)
     pts4 = sample_points(4, 100, seed=4)
     stacked_resid = transform_residual(p4, stacked, pts4).max_abs

@@ -550,6 +550,63 @@ class TestConjugateCommand:
         assert run(tmp_path, "conjugate", "--config", cfg) == 2
 
 
+CONJUGATE_INPUT = {"input": {"points": [0.0, 1.0], "values": [0.0, 1.0]}, "slopes": [0.5]}
+ONE_QUADRATIC = {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0]}
+
+
+class TestUnknownKeys:
+    # each of these ran with exit 0, the misspelt key ignored: beta = 0,
+    # gamma = 0, 100 points, and the conjugate of the input without "valuez"
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            (
+                "classify",
+                {"params": {**identity_config()["params"], "bta": 0.7}},
+                "unknown key 'bta' in params",
+            ),
+            (
+                "verify",
+                {**identity_config(), "candidate": {"quadratic": {**ONE_QUADRATIC, "gama": 5}}},
+                "unknown key 'gama' in quadratic",
+            ),
+            ("solve", {**identity_config(), "option": {"points": 5}}, "unknown key 'option' in config"),
+            (
+                "conjugate",
+                {**CONJUGATE_INPUT, "input": {**CONJUGATE_INPUT["input"], "valuez": [1.0, 2.0]}},
+                "unknown key 'valuez' in sampled",
+            ),
+            (
+                "conjugate",
+                {**CONJUGATE_INPUT, "slopes": {"start": 0.0, "stop": 1.0, "count": 3, "step": 0.5}},
+                "unknown key 'step' in slopes",
+            ),
+            (
+                "verify",
+                {
+                    "params": {"E": [[-1.0]], "c": [0.0], "w": [0.0], "tau": 1.0},
+                    "candidate": {"sampled": {"points": [0.0], "values": [0.0], "value": [1.0]}},
+                },
+                "unknown key 'value' in sampled",
+            ),
+        ],
+        ids=["params", "quadratic", "top_level", "conjugate_input", "slopes", "sampled_candidate"],
+    )
+    def test_an_unknown_key_exits_two_and_names_it(self, tmp_path, capsys, command, payload, message):
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        assert run(tmp_path, command, "--config", cfg, "--out", str(tmp_path / "r.json")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_a_classify_config_runs_under_every_params_command(self, tmp_path):
+        # the top level takes every command's keys, so one config serves them all
+        payload = {**identity_config(), "candidate": {"quadratic": ONE_QUADRATIC}}
+        payload["options"] = {"points": 5}
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        for command in ("classify", "solve", "verify"):
+            assert run(tmp_path, command, "--config", cfg, "--out", str(tmp_path / "r.json")) == 0
+
+
 class TestDemoCommand:
     @pytest.mark.parametrize("name", ["energy", "skew", "log", "nonexistence", "lql"])
     def test_demos_pass(self, tmp_path, name):

@@ -20,7 +20,6 @@ from fenchelfix import (
     biconjugate,
     brute_conjugate,
     conjugate_quadratic,
-    direct_sum,
     energy,
     fast_conjugate,
     fenchel_young_check,
@@ -636,7 +635,7 @@ class TestConjugate2D:
         # solves f(x) = f*(-x) in the plane; checked by brute conjugation
         h = 0.1
         member = SignFlipSolution("split_quadratic", lam=2.0)
-        ds = direct_sum([energy(1), member])
+        ds = lambda x: energy(1)(x[:1]) + member(x[1])  # noqa: E731
         xs = uniform_grid(-3.5, 3.5, h)
         ys = uniform_grid(-3.5, 6.5, h)
         vals = 0.5 * xs[:, None] ** 2 + np.array([member(y) for y in ys])[None, :]
@@ -649,6 +648,11 @@ class TestConjugate2D:
                 flipped = star[window.size - 1 - i, window.size - 1 - j]
                 worst = max(worst, abs(direct - flipped))
         assert worst <= 2 * h
+
+
+def _bad_grid(lo, hi, h):
+    message = "a uniform grid needs finite lo < hi and a finite spacing h > 0"
+    return lambda: uniform_grid(lo, hi, h), ValueError, message
 
 
 def _grid_error_paths():
@@ -677,11 +681,24 @@ def _grid_error_paths():
             ValueError,
             "split_quadratic needs lam > 0",
         ),
+        "split_infinite_lam": (
+            lambda: SignFlipSolution("split_quadratic", lam=np.inf),
+            ValueError,
+            "split_quadratic needs a finite lam",
+        ),
         "lam_for_another_kind": (
             lambda: SignFlipSolution("neg_log", lam=2.0),
             ValueError,
             "neg_log takes no lam parameter",
         ),
+        # a negative h gave an empty grid, and a zero h a ZeroDivisionError
+        "grid_negative_h": _bad_grid(0.0, 1.0, -0.1),
+        "grid_zero_h": _bad_grid(0.0, 1.0, 0.0),
+        "grid_infinite_h": _bad_grid(0.0, 1.0, np.inf),
+        "grid_reversed": _bad_grid(1.0, 0.0, 0.1),
+        "grid_empty": _bad_grid(0.0, 0.0, 0.1),
+        "grid_infinite_hi": _bad_grid(0.0, np.inf, 0.1),
+        "grid_nan_lo": _bad_grid(np.nan, 1.0, 0.1),
         "window_without_finite_node": (
             lambda: grid_fixed_point_residual(FLIP, ray, window=(-1.0, -0.5)),
             AllInfinite,
@@ -714,6 +731,12 @@ def test_grid_error_paths(name):
     with pytest.raises(error) as info:
         build()
     assert info.type is error and str(info.value) == message
+
+
+def test_uniform_grid_ends_at_hi_only_when_the_steps_are_whole():
+    np.testing.assert_allclose(uniform_grid(0.0, 1.0, 0.25), [0.0, 0.25, 0.5, 0.75, 1.0])
+    np.testing.assert_allclose(uniform_grid(0.0, 1.0, 0.3), [0.0, 0.3, 0.6, 0.9])
+    np.testing.assert_allclose(uniform_grid(0.0, 1.0, 0.35), [0.0, 0.35, 0.7, 1.05])
 
 
 class TestFenchelYoung:

@@ -29,7 +29,6 @@ from fenchelfix import (
     lower_envelope,
     quarter_turn_params,
     sample_points,
-    shift_equation_residual,
     skew_solution,
     solve_lql,
     solve_positive_definite,
@@ -510,13 +509,14 @@ class TestResiduals:
             functional_eq_residual(quarter_turn_params(), energy(2), "SelfAdjoint", pts)
 
     def test_shift_equation(self):
+        # f(x) - f(x + w) - w x: no proper convex lsc f zeroes it for w != 0
+        def shift_gap(f, w, x):
+            return float(np.max(np.abs(f(x) - f(x + w) - w * x)))
+
         pts = np.linspace(-2.0, 2.0, 9)
-        rep = shift_equation_residual(lambda x: 0.5 * x * x, 1.0, [0.0])
-        assert rep.max_abs == pytest.approx(0.5)
-        rep = shift_equation_residual(lambda x: 0.5 * x * x, 0.0, pts)
-        assert rep.max_abs == 0.0
-        rep = shift_equation_residual(lambda x: x, 1.0, pts)
-        np.testing.assert_allclose(rep.max_abs, np.max(np.abs(-1.0 - pts)))
+        assert shift_gap(lambda x: 0.5 * x * x, 1.0, np.array([0.0])) == pytest.approx(0.5)
+        assert shift_gap(lambda x: 0.5 * x * x, 0.0, pts) == 0.0
+        np.testing.assert_allclose(shift_gap(lambda x: x, 1.0, pts), np.max(np.abs(-1.0 - pts)))
 
     def test_functional_differential(self, rng):
         pts = sample_points(2, 50, seed=9)
@@ -655,11 +655,6 @@ class TestInputGate:
         with pytest.raises(EmptyList):
             GATED_CHECKS[name](identity_params(), energy(2), points)
 
-    @pytest.mark.parametrize("points", [[], np.empty(0), np.empty((0, 1))])
-    def test_no_shift_points_is_an_empty_list(self, points):
-        with pytest.raises(EmptyList):
-            shift_equation_residual(lambda x: x * x, 1.0, points)
-
     def test_the_candidate_scan_over_no_points_is_an_empty_list(self):
         with pytest.raises(EmptyList):
             classify(quarter_turn_params(), candidate=energy(2), points=np.empty((0, 2)))
@@ -679,8 +674,25 @@ class TestInputGate:
                 "General",
                 [[np.inf, 0.0], [1.0, 1.0]],
             )
-        with pytest.raises(ValueError, match="point entries must be finite"):
-            shift_equation_residual(lambda x: x * x, 1.0, [np.nan, 1.0])
+
+    @pytest.mark.parametrize("variant", ["Tsquared", "General", "SelfAdjoint"])
+    def test_a_callable_infinite_at_a_point_fails_the_functional_check(self, variant):
+        # this reported max_abs = nan, which passes a gate on max_abs > tol
+        flip = TransformParams([[-1.0]], [0.0], [0.0], 1.0)
+        ray = SignFlipSolution("ray_indicator")
+        with pytest.raises(ValueError, match="a checked function must be finite at every point"):
+            functional_eq_residual(flip, ray, variant, [[1.0], [-1.0], [2.0]])
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [("ray_indicator", "ray_indicator"), ("ray_indicator", "half_square"), ("half_square", "ray_indicator")],
+        ids=["both", "f", "p2"],
+    )
+    def test_a_callable_infinite_at_a_point_fails_the_scaling_check(self, kinds):
+        p = TransformParams([[1.0]], [0.0], [0.0], 2.0)
+        f, p2 = (SignFlipSolution(kind) for kind in kinds)
+        with pytest.raises(ValueError, match="a checked function must be finite at every point"):
+            g_scaling_residual(p, f, p2, [[1.0], [-1.0]])
 
     @pytest.mark.parametrize("name", list(GATED_CHECKS))
     @pytest.mark.parametrize(
@@ -696,30 +708,6 @@ class TestInputGate:
         with pytest.raises(DimMismatch) as info:
             GATED_CHECKS[name](identity_params(), q, pts)
         assert str(info.value) == message
-
-    def test_a_quadratic_of_another_dimension_fails_the_shift_check(self):
-        with pytest.raises(DimMismatch, match="transform and quadratic dimensions differ"):
-            shift_equation_residual(energy(2), 1.0, [0.5, 1.0])
-
-    def test_a_one_dimensional_quadratic_passes_the_shift_check(self):
-        q = QuadraticFn([[2.0]], [0.5], 1.0)
-        pts = [0.25, -1.0, 2.0]
-        got = shift_equation_residual(q, 0.5, pts)
-        want = shift_equation_residual(lambda x: q(np.atleast_1d(x)), 0.5, pts)
-        assert got.max_abs == pytest.approx(want.max_abs, rel=1e-15)
-        assert got.mean_abs == pytest.approx(want.mean_abs, rel=1e-15)
-        assert got.worst_point.tolist() == want.worst_point.tolist()
-
-    def test_shift_points_of_any_shape_are_scalars(self):
-        f = lambda x: x * x  # noqa: E731
-        want = shift_equation_residual(f, 0.5, [0.25, -1.0, 2.0])
-        for points in ([[0.25], [-1.0], [2.0]], np.array([[0.25, -1.0, 2.0]])):
-            got = shift_equation_residual(f, 0.5, points)
-            assert (got.max_abs, got.mean_abs, got.sample_points) == (
-                want.max_abs, want.mean_abs, want.sample_points
-            )
-            assert got.worst_point.tolist() == want.worst_point.tolist() == [2.0]
-        assert shift_equation_residual(f, 0.5, 1.5).sample_points == 1
 
 
 class TestRelativeResidual:

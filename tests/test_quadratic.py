@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from test_acceptance import indefinite_corpus, pd_corpus
 from fenchelfix import (
     DEFAULT_TOL,
     DimMismatch,
-    EmptyList,
     NotPositiveDefinite,
     OutOfRange,
     QuadraticFn,
@@ -18,8 +18,6 @@ from fenchelfix import (
     brute_conjugate,
     classify,
     conjugate_quadratic,
-    direct_sum,
-    dual_params,
     energy,
     invert,
     linalg,
@@ -53,16 +51,6 @@ def call_reference(q, x):
     then the one expression."""
     v = linalg.as_vector(x, q.dim)
     return float(0.5 * v @ q.A @ v + q.b @ v + q.gamma)
-
-
-def direct_sum_reference(ds, x):
-    """``DirectSum.__call__`` as it was: every quadratic block validated again."""
-    v = linalg.as_vector(x, ds.dim)
-    total = 0.0
-    for part, d, off in zip(ds.parts, ds.dims, ds.offsets[:-1]):
-        block = v[off : off + d]
-        total += call_reference(part, block) if isinstance(part, QuadraticFn) else float(part(float(block[0])))
-    return total
 
 
 def bad_points(dim):
@@ -108,36 +96,20 @@ class TestCallChecksOnce:
                             got, want = q(point), call_reference(q, point)
                             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
-    def test_direct_sum_is_bitwise_the_old_call(self, rng):
-        for d in range(1, 33):
-            parts = [
-                QuadraticFn(random_pd_matrix(rng, k), rng.uniform(-3, 3, k), rng.uniform(-3, 3))
-                for k in (d, 1, max(1, d // 2))
-            ]
-            for ds in (direct_sum(parts), direct_sum(parts + [lambda t: abs(t) ** 1.5])):
-                for x in rng.uniform(-5, 5, (8, ds.dim)):
-                    got, want = ds(x), direct_sum_reference(ds, x)
-                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
-
     @pytest.mark.parametrize("dim", [1, 3])
     def test_bad_points_raise_what_as_vector_raises(self, dim):
         q = energy(dim)
-        ds = direct_sum([energy(1)] * dim)
         for name, x in bad_points(dim).items():
             want = raised(lambda y: linalg.as_vector(y, dim), x)
             assert raised(q, x) == want, name
-            assert raised(ds, x) == want, name
 
     def test_non_finite_point_raises_value_error_and_never_warns(self):
         q = QuadraticFn(np.array([[1.0, 2.0], [2.0, -3.0]]), np.ones(2), 1.0)
-        ds = direct_sum([q, energy(1)])
         for bad in (np.nan, np.inf, -np.inf):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with pytest.raises(ValueError, match="vector entries must be finite"):
                     q(np.array([1.0, bad]))
-                with pytest.raises(ValueError, match="vector entries must be finite"):
-                    ds(np.array([bad, 0.0, 1.0]))
             assert caught == []
 
     def test_overflowing_finite_point_behaves_as_before(self):
@@ -311,6 +283,20 @@ class TestApplyTransform:
                 assert abs(out(x) - direct) <= 1e-10 * max(1.0, abs(direct))
 
 
+def dual_params(p, tol=DEFAULT_TOL):
+    """Parameters (H, v, z, rho) of the conjugate of g(x) = tau h(Ex + c) + <w, x> + beta.
+
+    For any h one has g*(s) = tau h*(Hs + v) + <z, s> + rho with
+    H = tau^{-1} (E^{-1})^T, v = -tau^{-1} (E^{-1})^T w, z = -E^{-1} c and
+    rho = <w, E^{-1} c> - beta.  (No tau factor on z and rho: substituting
+    h = h* of a known pair and expanding the supremum directly fixes these
+    coefficients, and the tests below exercise them at tau != 1.)
+    """
+    e_inv = p.e_inverse(tol)
+    h = e_inv.T / p.tau
+    return SimpleNamespace(H=h, v=-h @ p.w, z=-e_inv @ p.c, rho=float(p.w @ (e_inv @ p.c)) - p.beta)
+
+
 class TestDualParams:
     def test_identity(self):
         d = dual_params(TransformParams(np.eye(2), np.zeros(2), np.zeros(2), 1.0, 0.0))
@@ -394,28 +380,20 @@ class TestConvexity:
 
 
 class TestDirectSum:
+    # the block-diagonal quadratic of separate blocks
     def test_two_energies_make_energy(self):
-        ds = direct_sum([energy(1), energy(1)])
-        q = ds.as_quadratic()
+        e1, zero = energy(1).A, np.zeros((1, 1))
+        q = QuadraticFn(np.block([[e1, zero], [zero, e1]]), np.zeros(2))
         np.testing.assert_allclose(q.A, np.eye(2))
-        assert ds(np.array([3.0, 4.0])) == pytest.approx(12.5)
+        assert q(np.array([3.0, 4.0])) == pytest.approx(12.5)
 
     def test_blockwise_conjugation(self):
-        ds = direct_sum([q1d(2.0, 0.0), q1d(0.5, 0.0)])
-        qs = conjugate_quadratic(ds.as_quadratic())
+        qs = conjugate_quadratic(QuadraticFn(np.diag([2.0, 0.5]), np.zeros(2)))
         np.testing.assert_allclose(qs.A, np.diag([0.5, 2.0]), atol=1e-14)
 
     def test_scalar_callable_parts(self):
-        ds = direct_sum([energy(1), lambda t: abs(t)])
-        assert ds(np.array([2.0, -3.0])) == pytest.approx(2.0 + 3.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyList):
-            direct_sum([])
-
-    def test_as_quadratic_needs_quadratic_parts(self):
-        with pytest.raises(TypeError, match="direct sum has non-quadratic parts"):
-            direct_sum([energy(1), abs]).as_quadratic()
+        f = lambda x: energy(1)(x[:1]) + abs(x[1])  # noqa: E731
+        assert f(np.array([2.0, -3.0])) == pytest.approx(2.0 + 3.0)
 
 
 class TestOrderAndInequalities:
