@@ -28,7 +28,6 @@ from .linalg import (
     Spectral,
     eigendecompose,
     invert,
-    solve_min_norm,
 )
 from .quadratic import (
     QuadraticFn,

@@ -4,8 +4,10 @@ The equation under study is ``f(x) = tau f*(Ex + c) + <w, x> + beta`` with
 ``f*`` the Legendre-Fenchel transform.  Depending on E and the scalars it
 has a unique solution, many solutions, or none.  A quadratic fixed point
 obeys three relations with S = tau E^T A^{-1}: A = S E, a slope system and a
-constant.  Both closed-form constructions choose A and S and share the other
-two, and ``verify_form_quadratic`` checks all three.  The module also detects
+constant.  Both closed-form constructions choose A and S as functions of E,
+built from E's cached spectrum, which A keeps; the slope follows in E's
+eigenbasis, where the slope system is diagonal, and both share the constant.
+``verify_form_quadratic`` checks all three relations.  The module also detects
 the proven nonexistence patterns, classifies everything else honestly, and
 provides residual checks for every identity a solution must satisfy.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -73,15 +75,15 @@ def _psd_spectrum(p: TransformParams, tol: Tolerances, need: str) -> linalg.Spec
     return spec
 
 
-def _slope_system(p: TransformParams, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(I + S, w + S c): a fixed point's slope b solves (I + S) b = w + S c."""
-    return s + np.eye(p.dim), p.w + s @ p.c
-
-
 def _constant(p: TransformParams, a_inv: np.ndarray, b: np.ndarray) -> float:
     """A fixed point's constant (beta + tau/2 <c - b, A^{-1}(c - b)>) / (tau + 1)."""
     diff = p.c - b
     return (p.beta + 0.5 * p.tau * float(diff @ a_inv @ diff)) / (p.tau + 1.0)
+
+
+def _fixed_point(p: TransformParams, spec: linalg.Spectral, b: np.ndarray) -> QuadraticFn:
+    """The fixed point with A = ``spec``, a function of E it keeps, and slope b."""
+    return QuadraticFn._from_spectrum(spec, b, _constant(p, spec.apply(lambda d: 1.0 / d), b))
 
 
 def solve_positive_definite(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> QuadraticFn:
@@ -93,9 +95,8 @@ def solve_positive_definite(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -
     if not spec.positive_definite(tol):
         raise NotPositiveDefinite("E must be positive definite")
     rt = np.sqrt(p.tau)
-    a = rt * linalg.symmetric_part(p.E)
     b = (p.w + rt * p.c) / (1.0 + rt)
-    return QuadraticFn(a, b, _constant(p, spec.apply(lambda d: 1.0 / (rt * d)), b))
+    return _fixed_point(p, linalg.Spectral(rt * spec.eigenvalues, spec.vectors), b)
 
 
 def solve_self_adjoint(
@@ -103,22 +104,25 @@ def solve_self_adjoint(
 ) -> Optional[QuadraticFn]:
     """Quadratic solution for symmetric invertible E of any definiteness.
 
-    A = sqrt(tau)|E| and S = sqrt(tau) sign(E) from the spectrum of E; b is the
-    minimum-norm solution of the slope system, or None when that system is
+    A = sqrt(tau)|E| and S = sqrt(tau) sign(E) share E's eigenvectors U, so
+    the slope system is diagonal in that basis: lam b' = U^T w + sqrt(tau)
+    sign(d) U^T c with lam = 1 + sqrt(tau) sign(d).  Directions where lam is
+    singular (``linalg._cutoff``) get b' = 0.  The result is None when the
+    right side there exceeds ``cons_rel * (1 + ||rhs||)``: the slope system is
     inconsistent and the construction produces no quadratic solution.
     """
     spec = _symmetric_spectrum(p, tol)
     if spec.singular(tol):
         raise Singular("E must be invertible")
     rt = np.sqrt(p.tau)
-    a = spec.apply(lambda d: rt * np.abs(d))
-    m, rhs = _slope_system(p, spec.apply(lambda d: rt * np.sign(d)))
-    # I + S has the eigenvectors of E and eigenvalues sqrt(tau) sign(D) + 1, in D's order
-    m_spec = linalg.Spectral(rt * np.sign(spec.eigenvalues) + 1.0, spec.vectors)
-    b = linalg.solve_min_norm(m, rhs, m_spec, tol)
-    if b is None:
+    u, flip = spec.vectors, rt * np.sign(spec.eigenvalues)
+    lam = 1.0 + flip
+    rhs = u.T @ p.w + flip * (u.T @ p.c)
+    null = np.abs(lam) <= linalg._cutoff(lam, tol)
+    if float(np.linalg.norm(rhs[null])) > tol.cons_rel * (1.0 + float(np.linalg.norm(rhs))):
         return None
-    return QuadraticFn(a, b, _constant(p, spec.apply(lambda d: 1.0 / (rt * np.abs(d))), b))
+    b = u @ np.divide(rhs, lam, out=np.zeros_like(rhs), where=~null)
+    return _fixed_point(p, linalg.Spectral(rt * np.abs(spec.eigenvalues), u), b)
 
 
 def verify_form_quadratic(
@@ -134,9 +138,8 @@ def verify_form_quadratic(
         raise DimMismatch("transform and quadratic dimensions differ")
     a_inv = q.a_inverse(tol)
     s = p.tau * p.E.T @ a_inv
-    m, rhs = _slope_system(p, s)
     r1 = float(np.abs(q.A - s @ p.E).max())
-    r2 = float(np.abs(m @ q.b - rhs).max())
+    r2 = float(np.abs((s + np.eye(p.dim)) @ q.b - (p.w + s @ p.c)).max())
     r3 = abs(q.gamma - _constant(p, a_inv, q.b))
     return report_from_residuals([r1, r2, r3])
 
@@ -329,15 +332,15 @@ def functional_eq_residual(
 def lower_envelope(p: TransformParams) -> QuadraticFn:
     """Quadratic minorant every solution dominates.
 
-    Q = 2 tau/(tau+1) E (symmetrized), q = (w + tau c)/(tau + 1),
+    Q = 2 tau/(tau+1) E (symmetrized, from E's cached spectrum, which Q
+    keeps), q = (w + tau c)/(tau + 1),
     theta = beta/(tau + 1); a direct consequence of the Fenchel-Young
     inequality at s = Ex + c.
     """
-    tau = p.tau
-    q_mat = (2.0 * tau / (tau + 1.0)) * linalg.symmetric_part(p.E)
+    tau, spec = p.tau, p._spectrum
+    q_mat = linalg.Spectral((2.0 * tau / (tau + 1.0)) * spec.eigenvalues, spec.vectors)
     q_vec = (p.w + tau * p.c) / (tau + 1.0)
-    theta = p.beta / (tau + 1.0)
-    return QuadraticFn(q_mat, q_vec, theta)
+    return QuadraticFn._from_spectrum(q_mat, q_vec, p.beta / (tau + 1.0))
 
 
 def upper_envelope(p: TransformParams, tol: Tolerances = DEFAULT_TOL) -> QuadraticFn:

@@ -5,8 +5,8 @@ normalised to descending eigenvalues and sign-fixed eigenvectors, so
 identical input gives identical bytes on the same numpy/BLAS build.  A
 ``Spectral`` carries the eigenvalue predicates the case analysis needs and
 applies functions of the eigenvalues (``apply``), which is how the package
-forms |E|, sign(E), inverses and pseudo-inverse solves of symmetric
-matrices.  Every symmetric part is formed by ``symmetric_part``, which
+forms |E|, inverses and the quadratics built from E, which keep E's
+eigenvectors.  Every symmetric part is formed by ``symmetric_part``, which
 cannot overflow on finite input.  Every array a value type keeps (a
 quadratic's, a transform's, a sampled function's, a decomposition's) is
 made read-only by ``readonly``, the one ownership rule, which always
@@ -96,7 +96,8 @@ def as_symmetric(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 class Spectral(NamedTuple):
-    """Eigendecomposition M = U diag(d) U^T with d sorted descending."""
+    """Eigendecomposition M = U diag(d) U^T, in any order of d: only
+    ``eigendecompose`` sorts it descending, and no predicate reads the order."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray  # orthogonal, eigenvectors in columns
@@ -173,20 +174,3 @@ def invert(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if _below_cutoff(s, tol):
         raise Singular("matrix is singular within tolerance")
     return (vt.T / s) @ u.T
-
-
-def solve_min_norm(m, rhs, spec: Spectral, tol: Tolerances = DEFAULT_TOL) -> Optional[np.ndarray]:
-    """Minimum-norm solution of M x = rhs for symmetric M = ``spec``, by the
-    spectral pseudo-inverse, or None when ``||M x - rhs|| > cons_rel * (1 +
-    ||rhs||)``: inconsistency is a value, not an error, because callers use
-    it as a nonexistence signal."""
-    a = as_matrix(m)
-    b = as_vector(rhs, a.shape[0])
-    cutoff = _cutoff(spec.eigenvalues, tol)
-    coeffs = spec.vectors.T @ b
-    inv_d = np.where(np.abs(spec.eigenvalues) > cutoff, spec.eigenvalues, np.inf)
-    x = spec.vectors @ (coeffs / inv_d)
-    residual = float(np.linalg.norm(a @ x - b))
-    if residual > tol.cons_rel * (1.0 + float(np.linalg.norm(b))):
-        return None
-    return x

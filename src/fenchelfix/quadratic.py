@@ -42,9 +42,17 @@ class QuadraticFn:
     def dim(self) -> int:
         return self.A.shape[0]
 
+    @classmethod
+    def _from_spectrum(cls, spec: linalg.Spectral, b, gamma: float) -> "QuadraticFn":
+        """The quadratic with A = U diag(d) U^T for ``spec = (d, U)``, which
+        it keeps as A's spectrum, so that the two cannot disagree."""
+        q = cls(spec.apply(lambda d: d), b, gamma)
+        q.__dict__["spectrum"] = linalg.Spectral(*map(linalg.readonly, spec))
+        return q
+
     @cached_property
     def spectrum(self) -> linalg.Spectral:
-        """Eigendecomposition of A, computed once (A is read-only)."""
+        """Eigendecomposition of A, computed once (A is read-only), or the one A was built from."""
         return linalg.eigendecompose(self.A)
 
     def a_inverse(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -23,7 +23,8 @@ class Tolerances:
     #: definiteness band for both the definite and the semidefinite checks:
     #: eigenvalues within pd of zero count as zero
     pd: float = 1e-10
-    #: linear-system consistency, relative: ||Mx - rhs|| <= cons_rel * (1 + ||rhs||)
+    #: slope-system consistency, relative: in E's eigenbasis, the right side on
+    #: the null directions of I + S has norm <= cons_rel * (1 + ||rhs||)
     cons_rel: float = 1e-8
     #: gate for the involution precondition ||Q^2 - I||_max
     involution: float = 1e-8

@@ -10,7 +10,6 @@ from fenchelfix import (
     TransformParams,
     eigendecompose,
     invert,
-    solve_min_norm,
     solve_self_adjoint,
 )
 from fenchelfix import linalg
@@ -412,36 +411,6 @@ class TestInvert:
                     else:
                         invert(m)
         assert outcomes == {True, False}
-
-
-class TestSolveMinNorm:
-    def test_zero_system_gives_zero(self):
-        m = np.array([[0.0]])
-        x = solve_min_norm(m, np.array([0.0]), eigendecompose(m))
-        np.testing.assert_allclose(x, [0.0])
-
-    def test_inconsistent_is_none(self):
-        m = np.array([[0.0]])
-        assert solve_min_norm(m, np.array([1.0]), eigendecompose(m)) is None
-
-    def test_plain_diagonal(self):
-        m = np.diag([2.0, 2.0])
-        x = solve_min_norm(m, np.array([4.0, 2.0]), eigendecompose(m))
-        np.testing.assert_allclose(x, [2.0, 1.0], atol=1e-12)
-
-    def test_min_norm_is_orthogonal_to_null_space(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(2, 8))
-            k = int(rng.integers(1, n))
-            eigs = np.concatenate([rng.uniform(0.5, 2.0, k), np.zeros(n - k)])
-            u = random_orthogonal(rng, n)
-            m = (u * eigs) @ u.T
-            m = 0.5 * (m + m.T)
-            rhs = m @ rng.uniform(-2, 2, n)  # consistent by construction
-            x = solve_min_norm(m, rhs, eigendecompose(m))
-            assert x is not None
-            null_basis = u[:, k:]
-            assert np.max(np.abs(null_basis.T @ x)) <= 1e-8
 
 
 class TestDefiniteness:
