@@ -10,6 +10,7 @@ maps quadratics to quadratics.  This module implements that calculus exactly
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -61,26 +62,44 @@ class QuadraticFn:
             raise NotPositiveDefinite("inverting A needs a positive definite leading coefficient")
         return self.spectrum.apply(lambda d: 1.0 / d)
 
-    def __call__(self, x) -> float:
-        """The value at one point, checked once.
+    @cached_property
+    def _half_a(self) -> np.ndarray:
+        """0.5 * A, read-only, formed on the first call."""
+        return linalg.readonly(0.5 * self.A)
 
-        A point of shape ``(dim,)`` with every entry finite is evaluated
-        directly; any other input goes through ``linalg.as_vector``, which
-        raises its usual error (a non-finite entry is a ``ValueError``, a
-        wrong shape a ``DimMismatch``).  The finiteness test runs before
-        any arithmetic, so a NaN or infinite point raises and never warns.
+    def __call__(self, x) -> float:
+        """The value at one point, checked once, in three BLAS products.
+
+        The point is made a C-contiguous float array, so the value depends
+        on its entries alone, not on its strides.  A point of shape
+        ``(dim,)`` whose entries are finite (tested on Python floats) goes
+        straight to ``v.dot(A/2).dot(v) + b.dot(v) + gamma``, with ``A/2``
+        cached read-only on the first call; any other input goes through
+        ``linalg.as_vector``, which raises its usual error (a non-finite
+        entry is a ``ValueError``, a wrong shape a ``DimMismatch``).  So a
+        NaN or infinite point raises before any arithmetic and never warns;
+        a finite point whose value overflows warns "overflow encountered in
+        dot" and gives inf or NaN.
+
+        Halving is exact outside the lowest binade, so the value has the
+        bits of ``0.5 * v @ A @ v + b @ v + gamma``.  Inside it, below
+        ``2**-1021`` in magnitude, an entry with its last bit set rounds
+        when halved: an entry of ``A`` here, which moves the value from
+        that expression by at most ``2**-1075 sum_ij |v_i| |v_j|``, and an
+        entry of the point there, which moved it by at most
+        ``2**-1075 sum_ij |A_ij| |v_j|`` (beside the rounding of the sums).
         """
-        v = np.asarray(x, dtype=float)
-        if v.shape != self.b.shape or not np.isfinite(v).all():
+        v = np.asarray(x, dtype=float, order="C")
+        if v.shape != self.b.shape or not all(map(math.isfinite, v.tolist())):
             v = linalg.as_vector(v, self.dim)
-        return float(0.5 * v @ self.A @ v + self.b @ v + self.gamma)
+        return float(v.dot(self._half_a).dot(v) + self.b.dot(v) + self.gamma)
 
     def values(self, xs) -> np.ndarray:
         """Values at the rows of a ``(K, dim)`` array, in one array pass.
 
         The array is validated once, with the error types of ``__call__``;
         each value agrees with ``__call__`` up to rounding.  A value that is
-        not finite is an overflow, which ``einsum`` does not flag: ``OutOfRange``.
+        not finite is an overflow: ``OutOfRange``, with no warning.
         """
         x = np.asarray(xs, dtype=float)
         if x.ndim != 2:
@@ -89,7 +108,8 @@ class QuadraticFn:
             raise DimMismatch(f"expected dimension {self.dim}, got {x.shape[1]}")
         if not np.isfinite(x).all():
             raise ValueError("point entries must be finite")
-        values = 0.5 * np.einsum("ij,ij->i", x @ self.A, x) + x @ self.b + self.gamma
+        with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test checks
+            values = 0.5 * np.einsum("ij,ij->i", x @ self.A, x) + x @ self.b + self.gamma
         if not np.isfinite(values).all():
             raise OutOfRange("the input overflows the float range in a quadratic's value")
         return values

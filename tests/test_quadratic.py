@@ -19,6 +19,7 @@ from fenchelfix import (
     classify,
     conjugate_quadratic,
     energy,
+    functional_differential_residual,
     invert,
     linalg,
     sample_points,
@@ -79,22 +80,96 @@ def raised(fn, x):
     return info.type, str(info.value)
 
 
+def quadratics_to_call(rng, d):
+    """Quadratics of each origin ``__call__`` evaluates: given coefficients
+    (positive definite, indefinite, an F-ordered ``A``), one kept with its
+    spectrum, a closed-form conjugate and a transformed quadratic."""
+    a = rng.standard_normal((d, d))
+    b, gamma = rng.uniform(-3, 3, d), rng.uniform(-3, 3)
+    pd = QuadraticFn(random_pd_matrix(rng, d), b, gamma)
+    fortran = QuadraticFn(np.asfortranarray(a + a.T), b, gamma)
+    assert d == 1 or not fortran.A.flags.c_contiguous
+    params = TransformParams(a + d * np.eye(d), rng.uniform(-1, 1, d), rng.uniform(-1, 1, d), 2.0)
+    return [
+        pd,
+        QuadraticFn(a + a.T, b, gamma),
+        fortran,
+        QuadraticFn._from_spectrum(linalg.eigendecompose(pd.A), b, gamma),
+        conjugate_quadratic(pd),
+        apply_transform(params, pd),
+    ]
+
+
+def same_bits(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
 class TestCallChecksOnce:
     # __call__ checks its point once: a finite point of shape (dim,) goes
     # straight to the expression, anything else through as_vector
     def test_call_is_bitwise_the_old_call(self, rng):
-        for d in range(1, 33):
-            a = rng.standard_normal((d, d))
-            for mat in (random_pd_matrix(rng, d), a + a.T):
-                q = QuadraticFn(mat, rng.uniform(-3, 3, d), rng.uniform(-3, 3))
+        for d in [*range(1, 33), 40, 64, 100]:
+            for q in quadratics_to_call(rng, d):
                 for scale in (1e-300, 1e-3, 1.0, 1e3, 1e150):
                     for x in scale * rng.standard_normal((8, d)):
                         points = [x, list(x), tuple(x)]
                         if 1e-3 <= scale <= 1e3:
                             points.append(x.astype(np.float32))
                         for point in points:
-                            got, want = q(point), call_reference(q, point)
-                            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                            assert same_bits(q(point), call_reference(q, point))
+
+    def test_a_strided_point_has_the_value_of_its_contiguous_copy(self, rng):
+        # the point is made C-contiguous first, so the value depends on its
+        # entries alone; the old call's matmul summed a strided point in
+        # another order than its copy, in the last bits
+        for d in [*range(1, 9), 16, 40, 64, 100]:
+            for q in quadratics_to_call(rng, d):
+                for row in rng.standard_normal((4, 3 * d)):
+                    for point in (row[::3], row[::-3][:d], row[::-1][:d], row[d : 2 * d]):
+                        assert same_bits(q(point), call_reference(q, np.ascontiguousarray(point)))
+
+    def test_lowest_binade(self, rng):
+        # halving is exact outside the lowest binade, |t| < 2**-1021; inside
+        # it rounds when t's last bit is set: the cached A/2 now, the halved
+        # point before.  Either moves the value by at most 2**-1075 per term
+        # |v_i| |v_j| (entries of A) or |A_ij| |v_j| (entries of the point),
+        # besides the rounding of the two sums
+        def tiny(shape):  # any last bit, up to 2**-1021
+            return np.ldexp(rng.integers(-(2**53) + 1, 2**53, shape).astype(float), -1074)
+
+        def half_ulp(t):  # t * 2**-1075, which underflows as one factor
+            return t * 2.0**-1000 * 2.0**-75
+
+        moved = {"A": 0, "point": 0}
+        for d in (1, 2, 3, 5, 16, 40):
+            for _ in range(50):
+                t = tiny((d, d))
+                q = QuadraticFn(np.triu(t) + np.triu(t, 1).T, np.zeros(d))
+                x = rng.uniform(-1.0, 1.0, d) * 1e150
+                gap = abs(q(x) - call_reference(q, x))
+                scale = np.abs(x) @ np.abs(q.A) @ np.abs(x)
+                assert gap <= half_ulp(np.abs(x).sum() ** 2) + 2 * (d + 2) * EPS * scale
+                moved["A"] += gap > 0
+                a = rng.uniform(-1.0, 1.0, (d, d)) * (8e307 / d)
+                q = QuadraticFn(a + a.T, np.zeros(d))
+                x = tiny(d)
+                gap = abs(q(x) - call_reference(q, x))
+                scale = np.abs(x) @ np.abs(q.A) @ np.abs(x)
+                bound = half_ulp((np.abs(q.A) @ np.abs(x)).sum())
+                assert gap <= bound + 2 * (d + 2) * (EPS * scale + 2.0**-1074)
+                moved["point"] += gap > 0
+        assert min(moved.values()) > 0  # both cases the bounds are about occur
+
+    def test_half_of_a_is_cached_read_only(self, rng):
+        q = QuadraticFn(random_pd_matrix(rng, 3), np.ones(3), 1.0)
+        assert "_half_a" not in q.__dict__  # built on the first call, not by the constructor
+        q(np.ones(3))
+        half = q.__dict__["_half_a"]
+        assert half.tobytes() == (0.5 * q.A).tobytes()
+        q(np.zeros(3))
+        assert q.__dict__["_half_a"] is half
+        with pytest.raises(ValueError):
+            half[0, 0] = 0.0
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_bad_points_raise_what_as_vector_raises(self, dim):
@@ -113,6 +188,8 @@ class TestCallChecksOnce:
             assert caught == []
 
     def test_overflowing_finite_point_behaves_as_before(self):
+        # the same value and warnings as the old call, but the warnings name
+        # ndarray.dot, which now forms the products, not matmul
         q = QuadraticFn(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([1.0, -1.0]), 0.0)
         for x in ([1e200, 1.0], [1.0, 1e200], [1e200, 1e200], [1e308, -1e308]):
             outcomes = []
@@ -120,8 +197,11 @@ class TestCallChecksOnce:
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     value = np.float64(fn(np.array(x))).tobytes()
-                outcomes.append((value, [(w.category, str(w.message)) for w in caught]))
-            assert outcomes[0] == outcomes[1]
+                outcomes.append((value, [w.category for w in caught], [str(w.message) for w in caught]))
+            (value, categories, messages), (old_value, old_categories, old_messages) = outcomes
+            assert value == old_value and categories == old_categories != []
+            assert messages == [m.replace("in matmul", "in dot") for m in old_messages]
+            assert set(messages) == {"overflow encountered in dot"}
             with pytest.raises(RuntimeWarning):  # the suite's filter turns it into an error
                 q(np.array(x))
 
@@ -184,12 +264,19 @@ class TestValues:
             assert batched.type is single.type is ValueError
 
     @pytest.mark.parametrize(
-        "a, b, x", [([[5e307]], [0.0], [[3.0]]), ([[5e307]], [-1e308], [[3.0]])], ids=["inf", "nan"]
+        "a, b, x",
+        [
+            ([[5e307]], [0.0], [[3.0]]),
+            ([[5e307]], [-1e308], [[3.0]]),
+            ([[1e300]], [0.0], [[1e10]]),
+        ],
+        ids=["inf", "nan", "inf_in_matmul"],
     )
     def test_overflow_is_out_of_range(self, a, b, x):
-        # einsum sets no floating-point flag: the value was inf (or, with a
-        # slope term of the other sign, NaN) with no warning
-        with np.errstate(all="ignore"), pytest.raises(OutOfRange, match="overflows the float range"):
+        # the value is inf (or, with a slope term of the other sign, NaN),
+        # in einsum, which sets no floating-point flag, or in the matmul
+        # before it, which does: OutOfRange either way, with no warning
+        with pytest.raises(OutOfRange, match="overflows the float range in a quadratic's value"):
             QuadraticFn(a, b).values(x)
 
 
@@ -489,6 +576,12 @@ class TestOverflowIsOutOfRange:
     def test_conjugate(self):
         with pytest.raises(OutOfRange, match="the conjugate of a quadratic"):
             conjugate_quadratic(QuadraticFn([[1e-5]], [1e305]))
+
+    def test_value_in_a_residual_check(self):
+        p = TransformParams([[1.0]], [0.0], [0.0], 1.0)
+        q = QuadraticFn([[1e300]], [0.0])
+        with pytest.raises(OutOfRange, match="in a quadratic's value"):
+            functional_differential_residual(p, q, [[1e10]])
 
     def test_transform_in_the_candidate_scan(self):
         p = TransformParams([[0.0, 1e308], [-1e308, 0.0]], [0.0, 0.0], [0.0, 0.0], 1.0)
