@@ -84,10 +84,10 @@ class QuadraticFn:
         Halving is exact outside the lowest binade, so the value has the
         bits of ``0.5 * v @ A @ v + b @ v + gamma``.  Inside it, below
         ``2**-1021`` in magnitude, an entry with its last bit set rounds
-        when halved: an entry of ``A`` here, which moves the value from
-        that expression by at most ``2**-1075 sum_ij |v_i| |v_j|``, and an
-        entry of the point there, which moved it by at most
-        ``2**-1075 sum_ij |A_ij| |v_j|`` (beside the rounding of the sums).
+        when halved.  For an entry of ``A`` (halved here) the value moves
+        from that expression by at most ``2**-1075 sum_ij |v_i| |v_j|``;
+        for an entry of the point (halved in that expression) by at most
+        ``2**-1075 sum_ij |A_ij| |v_j|``, beside the rounding of the sums.
         """
         v = np.asarray(x, dtype=float, order="C")
         if v.shape != self.b.shape or not all(map(math.isfinite, v.tolist())):
