@@ -18,6 +18,17 @@ goes to its slope's position.  ``biconjugate``
 interpolates over the same table; it returns ``f`` itself when every node
 between the first and the last finite one is a hull vertex.
 
+Memory rule: every step holds its output, the arrays it cannot do without,
+and chunk-sized scratch, never a copy of the grid.  A run of finite nodes
+or of hull vertices is read through slices, and only functions with holes
+or with nodes off the hull gather.  Traced peaks at 4e5 nodes, in arrays
+of 8 bytes a node: the hull 2.2 on a convex function (its indices) and 2.4
+on a double well; the table 1.1 (its edge slopes); the grid residual 2.2
+(the slopes and the conjugate); the Fenchel-Young check 3.6 (f(x), the
+conjugate and its ``argsort``, pair-sized); ``biconjugate`` 1.6 on a
+double well (its output).  The ``_CHUNK``-sized scratch is up to about
+one such array of these at 4e5 nodes, and a smaller share of larger grids.
+
 A ``SampledFn`` keeps read-only arrays under ``linalg.readonly``'s rule: a
 caller's array is always copied, the library's own are frozen in place and
 shared.  ``sample`` evaluates a ``SignFlipSolution`` in one array pass and
@@ -29,6 +40,7 @@ chosen wide enough that every queried slope is interior.  The bitwise
 agreement also needs ``lower_hull`` to keep every node that can attain the
 maximum, and it does: its vertex set is exact.  Its orientation predicate
 keeps the floating-point sign where Shewchuk's error bound certifies it,
+takes it from a value difference's sign where the other is exactly zero,
 settles the rest exactly by error-free transformations (TwoSum differences,
 Dekker products) when the differences are exact, and decides what remains
 with ``fractions.Fraction``.  Data convex only by about one rounding error
@@ -74,6 +86,21 @@ def _check_values(values, size: int) -> np.ndarray:
     return v
 
 
+def _block(mask: np.ndarray) -> Optional[slice]:
+    """The slice of ``mask``'s True entries when they are one nonempty run,
+    else None."""
+    lo = int(mask.argmax())
+    hi = mask.size - int(mask[::-1].argmax())
+    return slice(lo, hi) if mask[lo] and np.count_nonzero(mask) == hi - lo else None
+
+
+def _block_of(idx: np.ndarray) -> Optional[slice]:
+    """The slice of the increasing indices ``idx`` (at least one) when
+    they are consecutive, else None."""
+    lo, hi = int(idx[0]), int(idx[-1]) + 1
+    return slice(lo, hi) if idx.size == hi - lo else None
+
+
 @dataclass(frozen=True)
 class SampledFn:
     """Extended-real values on a strictly increasing 1-D grid.
@@ -107,20 +134,34 @@ class SampledFn:
     @cached_property
     def hull(self) -> np.ndarray:
         """Indices into ``points`` of the lower convex hull vertices of the
-        finite nodes, computed once per function."""
-        fin = np.flatnonzero(self.finite_mask)
-        return readonly(fin[lower_hull(self.points[fin], self.values[fin])])
+        finite nodes, computed once per function.  When the finite nodes
+        are one run, ``lower_hull`` reads slices of the arrays; otherwise
+        it reads the finite nodes gathered."""
+        run = _block(self.finite_mask)
+        if run is None:
+            fin = np.flatnonzero(self.finite_mask)
+            return readonly(fin[lower_hull(self.points[fin], self.values[fin])])
+        h = lower_hull(self.points[run], self.values[run])
+        h += run.start
+        return readonly(h)
 
     @cached_property
     def _table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The hull's abscissae, values and edge slopes, read-only; an edge
-        slope that overflows (nodes a subnormal apart) is infinite."""
-        hx = self.points[self.hull]
-        hv = self.values[self.hull]
+        slope that overflows (nodes a subnormal apart) is infinite.  When
+        the hull is a run of nodes, as it is for strictly convex data, the
+        abscissae and values are slices of ``points`` and ``values``."""
+        run = _block_of(self.hull)
+        if run is None:
+            hx = readonly(self.points[self.hull])
+            hv = readonly(self.values[self.hull])
+        else:
+            hx, hv = self.points[run], self.values[run]
         edges = np.diff(hv)
         with np.errstate(over="ignore"):
-            edges /= np.diff(hx)
-        return readonly(hx), readonly(hv), readonly(edges)
+            for i in range(0, edges.size, _CHUNK):
+                edges[i : i + _CHUNK] /= np.diff(hx[i : i + _CHUNK + 1])
+        return hx, hv, readonly(edges)
 
     @cached_property
     def spacing(self) -> float:
@@ -228,29 +269,39 @@ def _on_or_above_chunk(xj, vj, xm, vm, xk, vk) -> np.ndarray:
         if sure.all():
             return out
         u = np.flatnonzero(~sure)
-        # rows dxm, dxk, dvk, dvm: left = dxm dvk and right = dxk dvm
+        # A zero value difference is exact (vk - vj is 0 only when vk == vj),
+        # so its product is exactly 0 and det has the sign of -right or of
+        # left.  The x-differences are positive, so that is the sign of the
+        # other value difference.  det is not read: an x-difference that
+        # overflows to inf times a zero is NaN.
+        dk = dvk[u]
+        dm = dvm[u]
+        flat = (dk == 0.0) | (dm == 0.0)
+        if flat.any():
+            out[u[flat]] = np.where(dk == 0.0, dm >= 0.0, dk <= 0.0)[flat]
+            u = u[~flat]
+            if u.size == 0:
+                return out
+        # rows dxm, dxk, dvk, dvm: left = dxm dvk and right = dxk dvm, none zero
         d, tail = _two_sum(
             np.stack((xm[u], xk[u], vk[u], vm[u])), -np.stack((xj[u], xj[u], vj[u], vj[u]))
         )
         a, b = d[:2], d[2:]
         p = a * b
-        # a zero difference is exact and makes its product exactly zero
-        zero = (a == 0.0) | (b == 0.0)
         ap = np.abs(p)
         split = (tail[:2] == 0.0) & (tail[2:] == 0.0) & (np.maximum(np.abs(a), np.abs(b)) < _HUGE)
         split &= (ap >= _TINY) & (ap < _HUGE)
-        hi = np.where(zero, 0.0, p)
         lo = np.where(split, _product_tail(a, b, p), 0.0)
-        # (hi0 + lo0) - (hi1 + lo1) as a nonoverlapping expansion x3, x2, x1,
+        # (p0 + lo0) - (p1 + lo1) as a nonoverlapping expansion x3, x2, x1,
         # x0 (Shewchuk's Two_Two_Diff); its sign is that of its largest nonzero term
         i, x0 = _two_sum(lo[0], -lo[1])
-        j, x = _two_sum(hi[0], i)
-        i, x1 = _two_sum(x, -hi[1])
+        j, x = _two_sum(p[0], i)
+        i, x1 = _two_sum(x, -p[1])
         x3, x2 = _two_sum(j, i)
         lead = np.where(x1 != 0.0, x1, x0)
         lead = np.where(x2 != 0.0, x2, lead)
         sub = np.where(x3 != 0.0, x3, lead) <= 0.0
-        rest = np.flatnonzero(~(zero | split).all(axis=0))
+        rest = np.flatnonzero(~split.all(axis=0))
         if rest.size:
             r = u[rest]
             sub[rest] = _on_or_above_exact(xj[r], vj[r], xm[r], vm[r], xk[r], vk[r])
@@ -264,10 +315,13 @@ def _on_or_above(xj, vj, xm, vm, xk, vk) -> np.ndarray:
 
     The float sign of ``(xm-xj)(vk-vj) - (xk-xj)(vm-vj)`` is kept where
     Shewchuk's bound ``(3 + 16 eps) eps (|left| + |right|)`` certifies it and
-    no product is small enough to have underflowed.  The rest are exact when
-    the four differences are (their TwoSum tails vanish, as for integer and
-    most nearby data): each product is then a rounded value plus its Dekker
-    tail, and the sign of that four-term sum is exact.  What remains —
+    no product is small enough to have underflowed.  A row with a value
+    difference of exactly zero, as on a flat run, takes the sign of the
+    other value difference, since the x-differences are positive.  The
+    rest are exact when the four differences are (their TwoSum tails
+    vanish, as for integer and most nearby data): each product is then a
+    rounded value plus its Dekker tail, and the sign of that four-term sum
+    is exact.  What remains —
     inexact differences, overflow, possible underflow — is decided with
     ``fractions.Fraction``.  Works through the arrays in ``_CHUNK`` slices.
     """
@@ -352,26 +406,30 @@ def lower_hull(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
     Works in rounds over a chain that starts as all nodes.  A junction is a
     node on or above its neighbours' chord; the first round tests every
-    node, later rounds only the nodes whose neighbours changed.  Each run of
-    adjacent junctions is bridged by the lower common tangent of the convex
-    chains on either side, all runs at once, and every node strictly between
-    a bridge's ends is removed.  Such a node lies on or above a chord of two
-    other nodes, so it is never a vertex; when no junction is left, the
-    chain is strictly convex and is the hull.
+    node, reading the input arrays themselves, and later rounds only the
+    nodes whose neighbours changed.  Each run of adjacent junctions is
+    bridged by the lower common tangent of the convex chains on either
+    side, all runs at once, and every node strictly between a bridge's ends
+    is removed.  Such a node lies on or above a chord of two other nodes,
+    so it is never a vertex; when no junction is left, the chain is
+    strictly convex and is the hull.  Besides the chain, a round's
+    node-sized scratch is a few masks and, from the second round on, the
+    chain's coordinates when it has junctions to bridge.
     """
     chain = np.arange(xs.size)
     cand = None
     while chain.size > 2:
         n = chain.size
-        cx = xs[chain]
-        cv = vs[chain]
         if cand is None:
+            cx, cv = xs, vs
             hit = _on_or_above(cx[:-2], cv[:-2], cx[1:-1], cv[1:-1], cx[2:], cv[2:])
             junctions = np.flatnonzero(hit) + 1
         else:
-            a, b = cand - 1, cand + 1
-            hit = _on_or_above(cx[a], cv[a], cx[cand], cv[cand], cx[b], cv[b])
+            a, m, b = chain[cand - 1], chain[cand], chain[cand + 1]
+            hit = _on_or_above(xs[a], vs[a], xs[m], vs[m], xs[b], vs[b])
             junctions = cand[hit]
+            if junctions.size:
+                cx, cv = xs[chain], vs[chain]
         if junctions.size == 0:
             break
         gap = np.diff(junctions) > 1
@@ -379,9 +437,18 @@ def lower_hull(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
         end = junctions[np.concatenate((gap, [True]))]
         prev = np.concatenate(([0], end[:-1]))
         l, r = _bridges(cx, cv, start, end, prev, np.concatenate((start[1:], [n - 1])))
-        keep = np.cumsum(np.bincount(l + 1, minlength=n) - np.bincount(r, minlength=n)) == 0
-        seam = keep[1:-1] & ~(keep[:-2] & keep[2:])
-        cand = np.cumsum(keep)[1:-1][seam] - 1
+        del cx, cv
+        # +1 after each bridge's left end, -1 at its right end: the running
+        # sum is nonzero exactly strictly inside a bridge (two bridges can
+        # overlap, so it is at most 2)
+        inside = np.zeros(n, dtype=np.int8)
+        inside[l + 1] = 1
+        inside[r] -= 1
+        keep = np.cumsum(inside, dtype=np.int8, out=inside) == 0
+        del inside
+        seam = np.zeros(n, dtype=bool)
+        seam[1:-1] = keep[1:-1] & ~(keep[:-2] & keep[2:])
+        cand = np.flatnonzero(seam[keep])
         chain = chain[keep]
     return chain
 
@@ -444,30 +511,37 @@ def biconjugate(f: SampledFn) -> SampledFn:
     keep their exact value; interior nodes take the chord value, clamped
     to never exceed the original sample (the clamp only absorbs roundoff).
     When every node of that span is a hull vertex, the result is ``f``
-    itself: the rule above gives back its values bit for bit.
+    itself: the rule above gives back its values bit for bit.  Otherwise
+    the chords are evaluated ``_CHUNK`` nodes at a time, into the output.
     """
-    if f.hull.size == f.hull[-1] - f.hull[0] + 1:
+    h = f.hull
+    if _block_of(h) is not None:
         return f
     hx, hv, _ = f._table
     x = f.points
-    # each node's segment: the count of hull vertices at or left of it, less one
-    seg = np.zeros(x.size, dtype=np.intp)
-    seg[f.hull] = 1
-    np.cumsum(seg, out=seg)
-    seg -= 1
-    np.clip(seg, 0, max(hx.size - 2, 0), out=seg)
-    nxt = seg + 1
-    np.minimum(nxt, hx.size - 1, out=nxt)
+    top = max(hx.size - 2, 0)
+    vertex = np.zeros(x.size, dtype=bool)
+    vertex[h] = True
+    out = np.empty(x.size)
     with np.errstate(invalid="ignore", divide="ignore"):  # one vertex: no chord
-        t = x - hx[seg]
-        t /= hx[nxt] - hx[seg]
-        out = hv[nxt] - hv[seg]
-        out *= t
-        out += hv[seg]
-    np.copyto(out, f.values, where=f.values < out)
-    out[: f.hull[0]] = INF
-    out[f.hull[-1] + 1 :] = INF
-    out[f.hull] = hv
+        for i in range(0, x.size, _CHUNK):
+            # each node's segment: the count of hull vertices at or left of it, less one
+            seg = np.cumsum(vertex[i : i + _CHUNK])
+            seg += np.searchsorted(h, i) - 1
+            np.clip(seg, 0, top, out=seg)
+            nxt = seg + 1
+            np.minimum(nxt, hx.size - 1, out=nxt)
+            t = x[i : i + _CHUNK] - hx[seg]
+            t /= hx[nxt] - hx[seg]
+            v = out[i : i + _CHUNK]
+            np.subtract(hv[nxt], hv[seg], out=v)
+            v *= t
+            v += hv[seg]
+            fv = f.values[i : i + _CHUNK]
+            np.copyto(v, fv, where=fv < v)
+    out[: h[0]] = INF
+    out[h[-1] + 1 :] = INF
+    out[h] = hv
     return SampledFn._on_grid(f.points, out)
 
 
@@ -579,47 +653,53 @@ def grid_fixed_point_residual(
     c = float(p.c[0])
     w = float(p.w[0])
 
+    x = f.points
     mask = f.finite_mask.copy()
+    if boundary_exclusion > 0.0:
+        first = x[f.finite_mask.argmax()]
+        last = x[x.size - 1 - f.finite_mask[::-1].argmax()]
     if window is not None:
         lo, hi = float(window[0]), float(window[1])
-        mask &= (f.points >= lo) & (f.points <= hi)
-    if boundary_exclusion > 0.0:
-        fin = f.points[f.finite_mask]
-        mask &= (f.points - fin[0] >= boundary_exclusion) & (
-            fin[-1] - f.points >= boundary_exclusion
-        )
+    if window is not None or boundary_exclusion > 0.0:
+        for i in range(0, x.size, _CHUNK):
+            xc = x[i : i + _CHUNK]
+            mc = mask[i : i + _CHUNK]
+            if window is not None:
+                mc &= (xc >= lo) & (xc <= hi)
+            if boundary_exclusion > 0.0:
+                mc &= (xc - first >= boundary_exclusion) & (last - xc >= boundary_exclusion)
     if not mask.any():
         raise AllInfinite("no finite nodes to check in the requested window")
+    # the checked nodes: a slice when they are one run, else a gather
+    run = _block(mask)
+    at = mask if run is None else run
+    del mask
 
-    # f(x) - tau f*(e x + c) - w x - beta with the same roundings, but in
-    # place, and with the nodes gathered again after the conjugate so that
-    # it runs beside one node-sized array, its slopes.  The slopes ascend:
-    # for e < 0 they come from the nodes reversed, and so do their values.
-    s = f.points[mask]
-    if e < 0.0:
-        s = s[::-1]
+    # f(x) - tau f*(e x + c) - w x - beta with the same roundings, in place
+    # in the conjugate's output.  The slopes ascend: for e < 0 they come
+    # from the nodes reversed, and so do their values.
+    s = x[at]
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness tests catch it
-        s *= e
+        s = (s[::-1] if e < 0.0 else s) * e
         s += c
         try:
-            star = _conjugate_at(f, s)
+            r = _conjugate_at(f, s)
         except ValueError:
             raise OutOfRange(
                 f"slopes e x + c overflow the float range (e = {e:g}, c = {c:g})"
             ) from None
         del s
-        star *= p.tau
-    if not np.isfinite(star).all():
+        r *= p.tau
+    if not np.isfinite(r).all():
         raise OutOfRange(f"the input overflows the float range: tau f*(e x + c), tau = {p.tau:g}")
     if e < 0.0:
-        star = star[::-1]
-    xs = f.points[mask]
-    residuals = f.values[mask]
-    residuals -= star
-    np.multiply(w, xs, out=star)
-    residuals -= star
-    residuals -= p.beta
-    return report_from_residuals(residuals, xs, grid_h=f.spacing)
+        r = r[::-1]
+    np.subtract(f.values[at], r, out=r)
+    xs = x[at]
+    for i in range(0, r.size, _CHUNK):
+        r[i : i + _CHUNK] -= w * xs[i : i + _CHUNK]
+    r -= p.beta
+    return report_from_residuals(r, xs, grid_h=f.spacing)
 
 
 def fenchel_young_check(f: SampledFn, pairs: Sequence[Tuple[float, float]]) -> ResidualReport:
@@ -635,39 +715,44 @@ def fenchel_young_check(f: SampledFn, pairs: Sequence[Tuple[float, float]]) -> R
     xs = arr[:, 0]
     ss = arr[:, 1]
     snap = 1e-9 * max(1.0, f.spacing)
-    # the nearest node to each x (the right one on a tie) and its distance;
-    # the pair-sized arrays are reused and freed before the conjugate
-    node = np.searchsorted(f.points, xs)
-    np.clip(node, 0, f.points.size - 1, out=node)
-    left = np.maximum(node - 1, 0)
-    dist = f.points[node]
-    dist -= xs
-    np.abs(dist, out=dist)
-    dist_left = f.points[left]
-    dist_left -= xs
-    np.abs(dist_left, out=dist_left)
-    np.copyto(node, left, where=dist_left < dist)
-    np.minimum(dist, dist_left, out=dist)
-    if not (dist <= snap).all():  # a NaN abscissa fails too
-        raise ValueError("pair abscissae must be grid nodes")
-    del left, dist, dist_left
-    fx = f.values[node]
-    del node
+    # the nearest node to each x (the right one on a tie), _CHUNK pairs at a
+    # time; every x must be a node before any f(x) is tested
+    x = f.points
+    fx = np.empty(xs.size)
+    for i in range(0, xs.size, _CHUNK):
+        xc = xs[i : i + _CHUNK]
+        node = np.searchsorted(x, xc)
+        np.clip(node, 0, x.size - 1, out=node)
+        left = np.maximum(node - 1, 0)
+        dist = x[node]
+        dist -= xc
+        np.abs(dist, out=dist)
+        dist_left = x[left]
+        dist_left -= xc
+        np.abs(dist_left, out=dist_left)
+        np.copyto(node, left, where=dist_left < dist)
+        np.minimum(dist, dist_left, out=dist)
+        if not (dist <= snap).all():  # a NaN abscissa fails too
+            raise ValueError("pair abscissae must be grid nodes")
+        np.take(f.values, node, out=fx[i : i + _CHUNK])
     if not np.isfinite(fx).all():
         raise ValueError("pair abscissae must be in the effective domain")
 
-    # f*(s) + f(x) - s x, with the same roundings, in place
+    # f*(s) + f(x) - s x, with the same roundings, in place; then the
+    # violations max(-gap, 0), in place too
     gaps = _conjugate_at(f, ss, np.argsort(ss))
     gaps += fx
     np.multiply(ss, xs, out=fx)
     gaps -= fx
+    del fx
     k = int(np.argmin(gaps))
-    violations = np.negative(gaps)
-    np.clip(violations, 0.0, None, out=violations)
+    min_gap = float(gaps[k])
+    np.negative(gaps, out=gaps)
+    np.clip(gaps, 0.0, None, out=gaps)
     return ResidualReport(
-        max_abs=float(violations.max()),
-        mean_abs=float(violations.mean()),
+        max_abs=float(gaps.max()),
+        mean_abs=float(gaps.mean()),
         sample_points=int(gaps.size),
         worst_point=np.array([xs[k], ss[k]]),
-        min_gap=float(gaps[k]),
+        min_gap=min_gap,
     )

@@ -29,6 +29,7 @@ from .errors import (
     NotPositiveDefinite,
     NotPSD,
     NotSymmetric,
+    OutOfRange,
     Singular,
 )
 from .quadratic import QuadraticFn, TransformParams, apply_transform
@@ -418,14 +419,20 @@ def functional_differential_residual(
     f*(y) = <y, u> - f(u) with u = (f')^{-1}(y), so a solution obeys
     f(x) = tau (<y, u> - f(u)) + <w, x> + beta at y = Ex + c.  For a
     quadratic with positive definite A the gradient inverse is explicit:
-    u = A^{-1}(y - b).
+    u = A^{-1}(y - b).  A y, u or residual that overflows the float range
+    raises ``OutOfRange``, with no warning.
     """
     pts = _gate(p.dim, points, q)
     a_inv = q.a_inverse(tol)
-    y = pts @ p.E.T + p.c
-    u = (y - q.b) @ a_inv.T
-    conj = np.einsum("ij,ij->i", y, u) - q.values(u)
-    residuals = q.values(pts) - (p.tau * conj + pts @ p.w + p.beta)
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness tests check
+        y = pts @ p.E.T + p.c
+        u = (y - q.b) @ a_inv.T
+        if not (np.isfinite(y).all() and np.isfinite(u).all()):
+            raise OutOfRange("the input overflows the float range in y = Ex + c or in u")
+        conj = np.einsum("ij,ij->i", y, u) - q.values(u)
+        residuals = q.values(pts) - (p.tau * conj + pts @ p.w + p.beta)
+    if not np.isfinite(residuals).all():
+        raise OutOfRange("the input overflows the float range in the gradient-inverse residual")
     return report_from_residuals(residuals, pts)
 
 

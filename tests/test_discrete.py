@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -930,6 +931,207 @@ class TestSortedChunkedCore:
             warnings.simplefilter("error")
             fast = fast_conjugate(f, slopes)
         assert fast.values.tobytes() == brute_conjugate(f, slopes).values.tobytes()
+
+
+def _traced_peak(step):
+    """The traced peak of the allocations ``step()`` makes, in bytes."""
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+BUDGET_NODES = 500_000
+
+
+class TestNodeSizedScratch:
+    """Each step holds its output plus chunk-sized scratch.  The bounds are
+    in node-sized float arrays (8 bytes a node) at 5e5 nodes, where the
+    chunk-sized scratch is worth up to about 0.8 of one; the measured
+    ratio is in each comment."""
+
+    xs = np.linspace(-6.0, 6.0, BUDGET_NODES)
+    node = xs.nbytes
+
+    def convex(self):
+        return SampledFn(self.xs, 0.5 * self.xs * self.xs)
+
+    def double_well(self):
+        return SampledFn(self.xs, 0.25 * (self.xs * self.xs - 1.2**2) ** 2)
+
+    def test_hull_of_a_convex_function(self):
+        f = self.convex()
+        # 2.0: the hull's indices (every node), the masks and the predicate's chunks
+        assert _traced_peak(lambda: f.hull) <= 2.2 * self.node
+        assert f.hull.size == self.xs.size
+
+    def test_hull_of_a_double_well(self):
+        f = self.double_well()
+        # 2.4: the chain and its coordinates in the second round (the
+        # first reads the input)
+        assert _traced_peak(lambda: f.hull) <= 2.7 * self.node
+
+    def test_table_of_a_convex_function(self):
+        f = self.convex()
+        f.hull  # built before tracing: its cost is the function's, once
+        # 1.07: only the edge slopes are new
+        assert _traced_peak(lambda: f._table) <= 1.2 * self.node
+
+    def test_grid_residual(self):
+        f = self.convex()
+        f._table, f.spacing
+        # 2.1: the slopes and the conjugate over the 5/6 of the nodes in the
+        # window, and the core's chunks
+        peak = _traced_peak(lambda: grid_fixed_point_residual(FLIP, f, (-5.0, 5.0), 0.5))
+        assert peak <= 2.35 * self.node
+
+    def test_fenchel_young_check(self, rng):
+        f = self.convex()
+        f._table
+        pairs = np.column_stack((self.xs, rng.permutation(-self.xs)))
+        # 3.46: f(x), the conjugate and its argsort, one pair-sized array
+        # each, and the core's chunks
+        assert _traced_peak(lambda: fenchel_young_check(f, pairs)) <= 3.7 * self.node
+
+    def test_biconjugate_of_a_double_well(self):
+        f = self.double_well()
+        f._table
+        # 1.55: the output, a mask of the hull vertices and the chunks
+        assert _traced_peak(lambda: biconjugate(f)) <= 1.75 * self.node
+
+
+def _bits(f: SampledFn, seed: int) -> list:
+    """Every discrete step's output on ``f``, pickled: the hull, its table,
+    the conjugate, the biconjugate, the Fenchel-Young report and four grid
+    residual reports (or the error each raises)."""
+    r = np.random.default_rng(seed)
+    slopes = np.unique(r.uniform(-12.0, 12.0, 64))
+    fin = f.points[f.finite_mask]
+    pairs = np.column_stack((r.choice(fin, 300), r.uniform(-12.0, 12.0, 300)))
+    out = [f.hull, f._table, fast_conjugate(f, slopes).values, biconjugate(f).values]
+    out.append(fenchel_young_check(f, pairs))
+    for p in (TransformParams([[-0.7]], [0.25], [0.3], 1.7, -0.2), TransformParams([[1.3]], [0.0], [0.0], 1.0, 0.0)):
+        for window, exclusion in ((None, 0.0), ((-4.0, 5.0), 0.5)):
+            try:
+                out.append(grid_fixed_point_residual(p, f, window, exclusion))
+            except AllInfinite as err:
+                out.append(str(err))
+    return [pickle.dumps(o) for o in out]
+
+
+def _corpus():
+    """(points, values): random data with and without +inf holes, +inf
+    ends, flat runs, and the sign-flip family's convex shapes."""
+    rng = np.random.default_rng(2028)
+    for k in range(40):
+        f = random_sampled(rng, max_nodes=600, inf_fraction=(0.0, 0.2)[k % 2])
+        yield f.points, f.values
+    xs = uniform_grid(-6.0, 6.0, 0.01)
+    for kind in ("half_square", "neg_log", "ray_indicator"):
+        for reflected in (False, True):
+            f = SignFlipSolution(kind, reflected=reflected).sample(xs)
+            yield f.points, f.values
+    wells = 0.25 * (xs * xs - 1.44) ** 2
+    yield xs, wells
+    yield xs, np.where(np.abs(xs) > 5.0, np.inf, wells)
+    yield xs, np.where(np.abs(xs - 1.0) < 0.5, np.inf, 0.5 * xs * xs)
+
+
+class TestViewsAndChunks:
+    """The view paths (a run of finite nodes, a run of hull vertices) and
+    the chunked loops give the bits of the gather paths and of one pass."""
+
+    def test_views_give_the_gathers_bits(self, monkeypatch):
+        views = [_bits(SampledFn(x, v), k) for k, (x, v) in enumerate(_corpus())]
+        monkeypatch.setattr(discrete, "_block", lambda mask: None)
+        monkeypatch.setattr(discrete, "_block_of", lambda idx: None)
+        gathers = [_bits(SampledFn(x, v), k) for k, (x, v) in enumerate(_corpus())]
+        assert views == gathers
+
+    def test_chunks_give_one_passs_bits(self, monkeypatch):
+        one_pass = [_bits(SampledFn(x, v), k) for k, (x, v) in enumerate(_corpus())]
+        monkeypatch.setattr(discrete, "_CHUNK", 97)
+        chunked = [_bits(SampledFn(x, v), k) for k, (x, v) in enumerate(_corpus())]
+        assert one_pass == chunked
+
+    @pytest.mark.parametrize("kind, reflected", [("half_square", False), ("neg_log", False), ("neg_log", True)])
+    def test_a_run_of_vertices_is_read_from_the_function(self, kind, reflected):
+        # neg_log is +inf on a leading run, so its hull starts past node 0;
+        # reflected, it is +inf on a trailing run
+        f = SignFlipSolution(kind, reflected=reflected).sample(uniform_grid(-2.0, 6.0, 0.01))
+        hx, hv, edges = f._table
+        assert np.shares_memory(hx, f.points) and np.shares_memory(hv, f.values)
+        assert not np.shares_memory(edges, f.points)
+        np.testing.assert_array_equal(hx, f.points[f.hull])
+        np.testing.assert_array_equal(hv, f.values[f.hull])
+        for a in (hx, hv, edges):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+
+    def test_a_hull_with_gaps_is_gathered(self):
+        xs = uniform_grid(-2.0, 2.0, 0.01)
+        f = SampledFn(xs, 0.25 * (xs * xs - 1.0) ** 2)
+        hx, hv, _ = f._table
+        assert not np.shares_memory(hx, f.points) and not np.shares_memory(hv, f.values)
+
+    def test_fenchel_young_over_chunks(self, monkeypatch):
+        # rounding leaves some gaps a few ulps below zero, so mean_abs is a
+        # sum of many nonzero violations
+        rng = np.random.default_rng(3)
+        xs = np.unique(rng.uniform(-5.0, 5.0, 400))
+        f = SampledFn(xs, rng.uniform(-3.0, 3.0, xs.size) + 0.1 * xs * xs)
+        pairs = np.column_stack((rng.choice(xs, 3_000), rng.uniform(-4.0, 4.0, 3_000)))
+        whole = fenchel_young_check(f, pairs)
+        monkeypatch.setattr(discrete, "_CHUNK", 97)
+        chunked = fenchel_young_check(f, pairs)
+        assert pickle.dumps(chunked) == pickle.dumps(whole)
+        assert chunked.mean_abs > 0.0 and chunked.min_gap < 0.0
+
+    def test_fenchel_young_worst_point_is_the_first_tie_over_chunks(self, monkeypatch):
+        # f = 0 on [-2, 2]: the gap is 2|s| - s x, so 4 at (-2, 1) and exactly
+        # 0 at every (x, 0); the least gap ties from pair 150, in the second
+        # chunk, on
+        monkeypatch.setattr(discrete, "_CHUNK", 97)
+        xs = uniform_grid(-2.0, 2.0, 0.5)
+        f = SampledFn(xs, np.zeros(xs.size))
+        pairs = np.tile([-2.0, 1.0], (400, 1))
+        pairs[150:, 0] = np.resize(xs[::-1], 250)
+        pairs[150:, 1] = 0.0
+        report = fenchel_young_check(f, pairs)
+        assert report.min_gap == 0.0 and report.max_abs == 0.0
+        np.testing.assert_array_equal(report.worst_point, [2.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            # (pair, x or slope) -> value: a non-node abscissa in a later
+            # chunk wins over a non-finite f(x) in an earlier one, which wins
+            # over a non-finite slope in an earlier one still
+            ({(500, 0): 0.3, (10, 0): -1.0, (5, 1): np.inf}, "pair abscissae must be grid nodes"),
+            ({(500, 0): -1.0, (5, 1): np.nan}, "pair abscissae must be in the effective domain"),
+            ({(500, 1): -np.inf}, "slopes must be finite"),
+        ],
+        ids=["non_node", "non_finite_value", "non_finite_slope"],
+    )
+    def test_fenchel_young_error_order_over_chunks(self, rng, monkeypatch, bad, message):
+        monkeypatch.setattr(discrete, "_CHUNK", 97)
+        f = SignFlipSolution("ray_indicator").sample(uniform_grid(-2.0, 2.0, 0.5))
+        pairs = np.column_stack((rng.choice([0.0, 0.5, 1.0, 2.0], 1_000), rng.uniform(-1.0, 1.0, 1_000)))
+        for at, value in bad.items():
+            pairs[at] = value
+        with pytest.raises(ValueError) as info:
+            fenchel_young_check(f, pairs)
+        assert str(info.value) == message
+
+    def test_biconjugate_digest_over_chunks(self, monkeypatch):
+        monkeypatch.setattr(discrete, "_CHUNK", 97)
+        h = hashlib.sha256()
+        for f in biconjugate_corpus():
+            h.update(biconjugate(f).values.tobytes())
+        assert h.hexdigest() == BICONJUGATE_DIGEST
 
 
 def test_sample_passes_python_floats_to_a_scalar_callable():

@@ -39,6 +39,7 @@ from fenchelfix import (
     x0_point,
 )
 from fenchelfix import linalg
+from fenchelfix.errors import OutOfRange
 from fenchelfix.reports import report_from_residuals
 
 
@@ -647,6 +648,22 @@ class TestResiduals:
         bogus = QuadraticFn(3.0 * np.eye(2), np.zeros(2), 0.0)
         unit = sample_points(2, 50, seed=11, radius=1.0)
         assert functional_differential_residual(identity_params(), bogus, unit).max_abs > 0.1
+
+    @pytest.mark.parametrize(
+        "e, tau, x",
+        [
+            (1e308, 1.0, 10.0),  # y = e x overflows
+            (1e200, 1.0, 1e200),  # y = e x overflows in the matrix product
+            (1e154, 1.0, 1e2),  # y and u are finite; <y, u> overflows
+            (1.0, 1e308, 1e2),  # finite conjugate; tau times it overflows
+        ],
+    )
+    def test_functional_differential_overflow_is_out_of_range(self, e, tau, x):
+        # an input error naming the overflow, and no RuntimeWarning (the
+        # suite makes every warning an error)
+        p = TransformParams([[e]], [0.0], [0.0], tau)
+        with pytest.raises(OutOfRange, match="overflows the float range"):
+            functional_differential_residual(p, energy(1), [[x]])
 
 
 def _pointwise_transform_residuals(p, q, pts):

@@ -268,3 +268,47 @@ def test_cli_import_does_not_load_fractions():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def _flat_triples(rng, n, scale):
+    """n triples xj < xm < xk (times ``scale``) in each of which vk == vj,
+    vm == vj or both, with values from a few levels that include 0.0 and
+    -0.0."""
+    x = np.sort(rng.uniform(-1.0, 1.0, (n, 3)), axis=1) * scale
+    assert (x[:, 1:] > x[:, :-1]).all()
+    v = rng.choice([-2.5, -1e-300, -0.0, 0.0, 1e-300, 0.75, 3.0], (n, 3))
+    which = rng.integers(0, 3, n)
+    v[which == 0, 2] = v[which == 0, 0]
+    v[which == 1, 1] = v[which == 1, 0]
+    v[which == 2, 1:] = v[which == 2, :1]
+    return x[:, 0], v[:, 0], x[:, 1], v[:, 1], x[:, 2], v[:, 2]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e308], ids=["1", "1e-300", "1e308"])
+def test_zero_value_differences_are_decided_in_the_float_stage(scale, monkeypatch):
+    # at 1e-300 every product underflows and at 1e308 the x-differences
+    # overflow to inf, whose product with a zero value difference is NaN;
+    # neither error-free stage is reached, and the oracle agrees
+    rng = np.random.default_rng(17)
+    triples = _flat_triples(rng, 3_000, scale)
+    want = discrete._on_or_above_exact(*triples)
+
+    def unreachable(*args):
+        raise AssertionError("a flat triple left the float stage")
+
+    monkeypatch.setattr(discrete, "_product_tail", unreachable)
+    monkeypatch.setattr(discrete, "_on_or_above_exact", unreachable)
+    np.testing.assert_array_equal(discrete._on_or_above(*triples), want)
+
+
+@pytest.mark.parametrize(
+    "name, xs, vs",
+    [
+        ("flat_run", np.linspace(-3.0, 3.0, 3_001), np.zeros(3_001)),
+        ("zero_node", _centred(3_000, 6.0), 0.5 * _centred(3_000, 6.0) ** 2),
+        ("equal_values_near_the_float_limit", 1e308 * np.linspace(-1.0, 1.0, 1_001), np.full(1_001, 7.0)),
+    ],
+)
+def test_flat_triples_match_the_loop_without_fractions(name, xs, vs, exact_counter):
+    np.testing.assert_array_equal(lower_hull(xs, vs), loop_hull(xs, vs))
+    assert exact_counter.calls == 0
