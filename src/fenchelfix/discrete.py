@@ -8,26 +8,35 @@ the exact maximum of ``s*x_i - f(x_i)`` over finite nodes — no interpolation.
 one core: the merge step of Lucet's linear-time Legendre transform over the
 lower convex hull.  Each ``SampledFn`` builds its hull, the hull's table
 (abscissae, values, edge slopes), its finite mask and its spacing once, on
-first use.  The core must agree with the oracle bit for bit; both return
-+0.0 for a zero maximum.  It visits the slopes ``_CHUNK`` at a time, in an
-order its caller states: ``fast_conjugate``'s slopes are a strictly
-increasing grid and the grid residual builds ascending ones, so both pass
-none; the Fenchel-Young check passes an ``argsort``.  The searches then
-walk the hull forward, the temporaries stay chunk-sized, and each value
-goes to its slope's position.  ``biconjugate``
-interpolates over the same table; it returns ``f`` itself when every node
-between the first and the last finite one is a hull vertex.
+first use.  The core is meant to agree with the oracle bit for bit, and
+does on the tested data; both return +0.0 for a zero maximum.  On dense,
+nearly straight data the rounding in the edge slopes can put the
+oracle's maximizer two or three vertices from the ranked one, and the
+two then differ in the last bits.  The core visits the slopes ``_CHUNK`` at a
+time, in an order its caller states: ``fast_conjugate``'s slopes are a
+strictly increasing grid and the grid residual builds ascending ones, so
+both pass none; the Fenchel-Young check passes an ``argsort``.  Each
+chunk's ranks among the edge slopes then come from ``_ranks``: a merge of
+the two ascending runs when the chunk has at least ``_MERGE`` slopes, the
+edge slopes ascend (checked once per function) and the stretch of them the
+chunk spans is at most twice its length; one binary search per slope
+otherwise.  The temporaries stay chunk-sized, and each value goes to its
+slope's position.  The Fenchel-Young check finds each pair's nearest node
+through ``_ranks`` too.  ``biconjugate`` interpolates over the same table;
+it returns ``f`` itself when every node between the first and the last
+finite one is a hull vertex.
 
 Memory rule: every step holds its output, the arrays it cannot do without,
 and chunk-sized scratch, never a copy of the grid.  A run of finite nodes
 or of hull vertices is read through slices, and only functions with holes
 or with nodes off the hull gather.  Traced peaks at 4e5 nodes, in arrays
 of 8 bytes a node: the hull 2.2 on a convex function (its indices) and 2.4
-on a double well; the table 1.1 (its edge slopes); the grid residual 2.2
-(the slopes and the conjugate); the Fenchel-Young check 3.6 (f(x), the
+on a double well; the table 1.1 (its edge slopes); the grid residual 2.4
+(the slopes and the conjugate); the Fenchel-Young check 3.7 (f(x), the
 conjugate and its ``argsort``, pair-sized); ``biconjugate`` 1.6 on a
-double well (its output).  The ``_CHUNK``-sized scratch is up to about
-one such array of these at 4e5 nodes, and a smaller share of larger grids.
+double well (its output).  The ``_CHUNK``-sized scratch, a merge's among
+it, is up to about one such array of these at 4e5 nodes, and a smaller
+share of larger grids.
 
 A ``SampledFn`` keeps read-only arrays under ``linalg.readonly``'s rule: a
 caller's array is always copied, the library's own are frozen in place and
@@ -164,6 +173,18 @@ class SampledFn:
         return hx, hv, readonly(edges)
 
     @cached_property
+    def _edges_ascend(self) -> bool:
+        """Whether the table's edge slopes ascend, so that ``_ranks`` may
+        merge slopes into them; checked once, ``_CHUNK`` edges at a time.
+        Rounding can make the edge slopes of a nearly straight hull dip."""
+        edges = self._table[2]
+        for i in range(0, edges.size - 1, _CHUNK):
+            e = edges[i : i + _CHUNK + 1]
+            if not (e[1:] >= e[:-1]).all():  # a NaN fails too
+                return False
+        return True
+
+    @cached_property
     def spacing(self) -> float:
         return float(np.diff(self.points).max()) if self.points.size > 1 else 0.0
 
@@ -179,7 +200,7 @@ def sample(fn: Callable[[float], float], points) -> SampledFn:
     if isinstance(fn, SignFlipSolution):
         values = fn.values(p)
     else:
-        values = np.array([float(fn(x)) for x in p.tolist()])
+        values = np.fromiter(map(float, map(fn, p.tolist())), dtype=float, count=p.size)
     return SampledFn._on_grid(readonly(p, points), values)
 
 
@@ -219,6 +240,7 @@ _HUGE = 2.0**995  # Dekker's split of anything larger can overflow
 _SPLITTER = 2.0**27 + 1.0
 _CHUNK = 1 << 15  # predicate elements or conjugate slopes per pass over the arrays
 _PROBES = 1024  # predicate elements per search step, shared by its rows
+_MERGE = 1 << 12  # fewest queries that ``_ranks`` merges rather than bisects
 
 
 def _two_sum(a, b):
@@ -453,24 +475,53 @@ def lower_hull(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return chain
 
 
+def _ranks(a: np.ndarray, q: np.ndarray, ascends: bool = True) -> np.ndarray:
+    """``np.searchsorted(a, q)``, for ``a`` in ascending order (NaN last,
+    as numpy sorts) or, when ``ascends`` is False, in any order.
+
+    When ``a`` ascends and so do at least ``_MERGE`` queries, the ranks come
+    from a merge, as in Lucet's linear-time transform, rather than one
+    binary search per query: two scalar searches find the stretch
+    ``a[lo:hi]`` the queries span, and one stable sort of the two ascending
+    runs ``q`` and ``a[lo:hi]`` puts each query after the stretch's smaller
+    values and before its equal ones, the ``left`` side.  A query's place
+    there, less the queries before it, plus ``lo``, is its rank.  A stretch
+    longer than ``2 * q.size`` is bisected instead, so the scratch stays
+    within about three times the queries.
+    """
+    m = q.size
+    if ascends and m >= _MERGE and (q[1:] >= q[:-1]).all():  # a NaN fails too
+        lo, hi = np.searchsorted(a, q[[0, -1]]).tolist()
+        if hi - lo <= 2 * m:
+            order = np.argsort(np.concatenate((q, a[lo:hi])), kind="stable")
+            ranks = np.flatnonzero(order < m)
+            ranks -= np.arange(-lo, m - lo)
+            return ranks
+    return np.searchsorted(a, q)
+
+
 def _conjugate_at(f: SampledFn, s: np.ndarray, order: Optional[np.ndarray] = None) -> np.ndarray:
     """max of s*x - f(x) over the hull vertices, for finite slopes (repeats
     allowed).
 
     The merge step of Lucet's linear-time Legendre transform: the maximizer
-    for slope s is the hull vertex whose two edge slopes bracket s, found by
-    ``searchsorted`` in the table ``f._table``.  Rounded edge slopes can
-    misplace it by one, so the max is taken exactly over that vertex and
-    its two neighbours, with the oracle's expression.  An infinite edge
-    slope only moves the search by one.  Equal maxima are equal bits,
-    except zeros, which are made +0.0 on both routes.
+    for slope s is the hull vertex whose two edge slopes bracket s, at its
+    rank among the edge slopes of the table ``f._table``.  Rounded edge
+    slopes can misplace it by one, so the max is taken exactly over that
+    vertex and its two neighbours, with the oracle's expression.  An
+    infinite edge slope only moves the rank by one.  Equal maxima are equal
+    bits, except zeros, which are made +0.0 on both routes.
 
     The slopes are visited ``_CHUNK`` at a time, in the order ``order``
     (a permutation of their positions) or, when it is None, as given, and
-    each value goes to its slope's position.  Visiting them in ascending
-    order lets the searches walk the edge slopes forward; the caller whose
-    slopes already ascend passes no order, the others an ``argsort``.  A
-    value depends only on its slope, so the order changes no bit.
+    each value goes to its slope's position.  The caller whose slopes
+    already ascend passes no order, the others an ``argsort``.  An
+    ascending chunk of at least ``_MERGE`` slopes is then merged into the
+    edge slopes when they ascend too (``f._edges_ascend``), in time linear
+    in the chunk and the stretch of edge slopes it spans; any other chunk
+    is ranked by binary search (``_ranks``).  Both give ``searchsorted``'s
+    ranks, and a value depends only on its slope, so neither the order nor
+    the route changes a bit.
     """
     if not np.isfinite(s).all():
         raise ValueError("slopes must be finite")
@@ -480,7 +531,7 @@ def _conjugate_at(f: SampledFn, s: np.ndarray, order: Optional[np.ndarray] = Non
     for i in range(0, s.size, _CHUNK):
         at = slice(i, i + _CHUNK) if order is None else order[i : i + _CHUNK]
         sc = s[at]
-        j = np.searchsorted(edges, sc)
+        j = _ranks(edges, sc, f._edges_ascend)
         v = sc * hx[j] - hv[j]
         k = np.maximum(j - 1, 0)
         np.maximum(v, sc * hx[k] - hv[k], out=v)
@@ -494,11 +545,14 @@ def _conjugate_at(f: SampledFn, s: np.ndarray, order: Optional[np.ndarray] = Non
 def fast_conjugate(f: SampledFn, slopes) -> SampledFn:
     """Linear-time conjugate via the lower convex hull.
 
-    The hull comes from ``f.hull`` (built once per function) and each slope
-    costs one search over its edge slopes, in ascending order, plus an
-    exact three-vertex max.  Values come from the same expression the
-    oracle uses and a zero maximum is +0.0 on both routes, so the two are
-    bitwise equal.
+    The hull comes from ``f.hull`` (built once per function).  The slopes
+    ascend, so each chunk of at least ``_MERGE`` of them is ranked among the
+    hull's edge slopes by one merge when those ascend too, and by binary
+    search otherwise; each slope then costs an exact three-vertex max.
+    Values come from the same expression the oracle uses and a zero maximum
+    is +0.0 on both routes, so the two are bitwise equal on the tested
+    data.  Dense, nearly straight data can break that by a few ulps (see
+    the module docstring).
     """
     s = check_grid(slopes)
     return SampledFn._on_grid(readonly(s, slopes), _conjugate_at(f, s))
@@ -721,7 +775,7 @@ def fenchel_young_check(f: SampledFn, pairs: Sequence[Tuple[float, float]]) -> R
     fx = np.empty(xs.size)
     for i in range(0, xs.size, _CHUNK):
         xc = xs[i : i + _CHUNK]
-        node = np.searchsorted(x, xc)
+        node = _ranks(x, xc)
         np.clip(node, 0, x.size - 1, out=node)
         left = np.maximum(node - 1, 0)
         dist = x[node]
